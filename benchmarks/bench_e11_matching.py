@@ -19,16 +19,9 @@ from benchmarks.bench_common import emit, run_experiment_cells
 from repro.analysis.records import RunRecord
 from repro.analysis.sweep import Cell
 from repro.analysis.tables import format_table
-from repro.core.det_matching import (
-    det_maximal_matching,
-    line_graph_words,
-    matching_config,
-    verify_maximal_matching,
-)
+from repro.core.det_matching import line_graph_words, solve_matching
 from repro.core.registry import DET_MATCHING
 from repro.graph import generators as gen
-from repro.mpc.graph_store import DistributedGraph
-from repro.mpc.simulator import Simulator
 
 WORKLOADS = {
     "er-192": lambda: gen.gnp_random_graph(192, 8, 192, seed=11),
@@ -50,17 +43,15 @@ def greedy_matching_size(graph) -> int:
 
 
 def run_matching(graph):
-    with Simulator(matching_config(graph)) as sim:
-        dg = DistributedGraph.load(sim, graph)
-        matching, counters = det_maximal_matching(dg)
-    verify_maximal_matching(graph, matching)
-    return matching, counters, sim
+    """A verified solve on the regime sized for the line graph."""
+    return solve_matching(graph, algorithm=DET_MATCHING)
 
 
 def matching_cell(name: str) -> RunRecord:
     """One pure cell: verified maximal matching on one workload."""
     graph = WORKLOADS[name]()
-    matching, counters, sim = run_matching(graph)
+    result = run_matching(graph)
+    matching = result.matching
     greedy = greedy_matching_size(graph)
     # Any maximal matching is at least half the maximum one, and the
     # greedy is maximal too, so sizes stay within a factor of two.
@@ -73,10 +64,10 @@ def matching_cell(name: str) -> RunRecord:
             "line_words": line_graph_words(graph),
             "matching_size": len(matching),
             "greedy_size": greedy,
-            "rounds": sim.metrics.rounds,
-            "luby_phases": counters["phases"],
-            "memory_words": sim.config.memory_words,
-            "peak_memory_words": sim.metrics.peak_memory_words,
+            "rounds": result.rounds,
+            "luby_phases": result.metrics["alg_phases"],
+            "memory_words": result.metrics["memory_words"],
+            "peak_memory_words": result.metrics["peak_memory_words"],
         },
     )
 

@@ -27,7 +27,9 @@ from typing import Dict, List, Tuple
 
 from benchmarks.bench_common import emit
 from repro.analysis.tables import format_table
-from repro.core.alpha_ruling import det_alpha_ruling_set
+from repro.core.alpha_ruling import alpha_program
+from repro.core.program import ProgramContext
+from repro.core.registry import DET_RULING, get_algorithm
 from repro.core.verify import verify_ruling_set
 from repro.errors import MPCViolationError
 from repro.graph import generators as gen
@@ -61,8 +63,8 @@ def run_alpha(
     power graph); returns ``(claimed_beta, members, model_metrics)``."""
     with Simulator(config, enforce=enforce) as sim:
         dg = DistributedGraph.load(sim, graph)
-        claimed, _ = det_alpha_ruling_set(
-            dg, alpha=ALPHA, beta=BETA, in_set_key=IN_SET_KEY
+        alpha_program(ALPHA, beta=BETA, in_set_key=IN_SET_KEY).run(
+            ProgramContext(dg)
         )
         members = dg.collect_marked(IN_SET_KEY)
         metrics = {
@@ -71,6 +73,7 @@ def run_alpha(
         }
         wall = sim.metrics.wall_time_s
     metrics["wall_time_s"] = wall
+    claimed = get_algorithm(DET_RULING).claimed_beta(graph, ALPHA, BETA)
     return claimed, members, metrics
 
 

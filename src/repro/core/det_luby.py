@@ -365,7 +365,8 @@ def det_luby_mis(
     decay series; tracing costs one extra reduction per phase).  Returns
     a counter dict.
 
-    This is a thin wrapper: the whole engine lives in
+    The ruling-set, degree-class and matching programs call this as
+    their nested MIS subroutine.  The whole engine lives in
     :func:`luby_program`, executed here against a fresh
     :class:`~repro.core.program.ProgramContext`.
     """

@@ -242,26 +242,6 @@ def matching_program(
     )
 
 
-def det_maximal_matching(
-    dg: DistributedGraph,
-    chooser=None,
-    allow_stalls: int = 0,
-) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
-    """Compute a maximal matching of the active graph, deterministically.
-
-    Returns ``(matching_edges, counters)``; matched endpoint pairs are
-    also flagged per machine under ``MATCHED``.  ``chooser`` /
-    ``allow_stalls`` forward to the Luby engine (pass a random chooser
-    and positive stalls for the randomized baseline).
-
-    This is a thin wrapper over :func:`matching_program`.
-    """
-    program = matching_program(chooser=chooser, allow_stalls=allow_stalls)
-    ctx = ProgramContext(dg)
-    counters = program.run(ctx)
-    return ctx.matching, counters
-
-
 def solve_matching(
     graph: Graph,
     deterministic: bool = True,

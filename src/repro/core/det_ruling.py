@@ -43,7 +43,7 @@ in :mod:`repro.core.engine_ops`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.det_luby import det_luby_mis, modulus_for
 from repro.core.engine_ops import (
@@ -182,11 +182,12 @@ def ruling_program(
     ``ruling-solve-level`` → ``ruling-removal-wave``).  Level adjacency
     layers register with :meth:`~repro.core.program.ProgramContext.
     push_level` and are torn down via ``release_levels`` on every exit
-    path.  :func:`det_ruling_set` runs this program directly.
+    path.
     """
     if beta < 2:
         raise AlgorithmError(
-            "det_ruling_set needs beta >= 2; use det_luby_mis for an MIS"
+            f"ruling_program needs beta >= 2, got {beta}; "
+            "use luby_program for an MIS"
         )
     choose = chooser if chooser is not None else scanning_chooser()
 
@@ -403,38 +404,3 @@ def ruling_program(
             ),
         ),
     )
-
-
-def det_ruling_set(
-    dg: DistributedGraph,
-    beta: int = 2,
-    in_set_key: str = IN_SET,
-    chooser: Optional[SamplingChooser] = None,
-    luby_chooser=None,
-    luby_allow_stalls: int = 0,
-    endgame_degree: int = 4,
-    max_iterations: Optional[int] = None,
-) -> Dict[str, int]:
-    """Compute a ``(2, β)``-ruling set of the active graph; β >= 2.
-
-    Members accumulate per machine under ``store[in_set_key]``; collect
-    with ``dg.collect_marked(in_set_key)``.  Returns a counter dict
-    (iterations, sparsify levels, seed candidates, solver choices).
-
-    ``chooser`` selects sampling seeds (default: the deterministic
-    batched scan); ``luby_chooser`` is forwarded to the Luby engine when
-    it is used as the level solver or endgame (default: deterministic
-    conditional expectations).
-
-    This is a thin wrapper over :func:`ruling_program`.
-    """
-    program = ruling_program(
-        beta=beta,
-        in_set_key=in_set_key,
-        chooser=chooser,
-        luby_chooser=luby_chooser,
-        luby_allow_stalls=luby_allow_stalls,
-        endgame_degree=endgame_degree,
-        max_iterations=max_iterations,
-    )
-    return program.run(ProgramContext(dg))

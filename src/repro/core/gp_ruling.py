@@ -52,7 +52,7 @@ refactor is visible here: this module contains only algorithm logic.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.det_luby import det_luby_mis, modulus_for
 from repro.core.engine_ops import (
@@ -73,7 +73,7 @@ from repro.core.program import (
 from repro.derand.family import Seed, threshold_for_rate
 from repro.derand.seed_search import distributed_scan_seeds
 from repro.errors import AlgorithmError
-from repro.mpc.graph_store import ADJ, DistributedGraph
+from repro.mpc.graph_store import ADJ
 from repro.mpc.machine import Machine
 from repro.mpc.primitives.aggregate import reduce_scalar
 
@@ -118,8 +118,7 @@ def gp_program(
     branch: ``gp-gather-finish`` (whole residual fits one machine),
     ``gp-endgame-luby`` (residual degree ≤ 8), or the three-phase class
     chain ``gp-sparsify`` → ``gp-solve-sample`` → ``gp-removal-wave``.
-    :func:`gp_2ruling_set` runs this program directly; the session
-    executes it via the registry's program factory.
+    The session executes it via the registry's program factory.
     """
 
     def setup(ctx: ProgramContext) -> None:
@@ -345,27 +344,3 @@ def gp_program(
             ),
         ),
     )
-
-
-def gp_2ruling_set(
-    dg: DistributedGraph,
-    in_set_key: str = GP_IN_SET,
-    luby_chooser=None,
-    luby_allow_stalls: int = 0,
-    max_iterations: Optional[int] = None,
-) -> Dict[str, int]:
-    """Compute a (2, 2)-ruling set of the active graph.
-
-    Members accumulate per machine under ``store[in_set_key]``; collect
-    with ``dg.collect_marked(in_set_key)``.  Returns the counter dict
-    (classes, scans, seed candidates, solver choices, members).
-
-    This is a thin wrapper over :func:`gp_program`.
-    """
-    program = gp_program(
-        in_set_key=in_set_key,
-        luby_chooser=luby_chooser,
-        luby_allow_stalls=luby_allow_stalls,
-        max_iterations=max_iterations,
-    )
-    return program.run(ProgramContext(dg))

@@ -1,13 +1,18 @@
 """One-call drivers: graph in, verified ruling set + metrics out.
 
-:func:`solve_ruling_set` is a thin dispatch layer: it looks the
-requested algorithm up in :mod:`repro.core.registry`, hands the run to
-:class:`repro.core.session.SolverSession` (which owns the whole MPC
-lifecycle — regime sizing, backend/trace wiring, simulator entry/exit,
-collection, metrics assembly), and verifies the output against the
-sequential ground truth.  This is the function the examples and
-benchmarks call; using it guarantees that every number a benchmark
-reports comes from a budget-enforced, verified run.
+Both drivers are thin dispatch layers over the one executor: they look
+the requested algorithm up in :mod:`repro.core.registry` and hand the
+run to :class:`repro.core.session.SolverSession`, which owns the whole
+MPC lifecycle — regime sizing, backend/trace wiring, simulator
+entry/exit, program execution, collection, metrics assembly.
+
+* :func:`solve_ruling_set` runs on an in-memory graph and verifies the
+  output against the sequential ground truth.  This is the function the
+  examples and benchmarks call; using it guarantees that every number a
+  benchmark reports comes from a budget-enforced, verified run.
+* :func:`solve_ruling_set_stream` runs on an edge-list file out-of-core:
+  the session's input is a :class:`~repro.core.session.StreamedEdgeList`
+  instead of a graph, and nothing else changes.
 
 The name tuples below (``MPC_ALGORITHMS`` …) are *views* of the registry
 kept for backward compatibility — the registry is the single source of
@@ -17,7 +22,7 @@ CLI, sweeps, and benches) automatically.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core import registry
 from repro.core.registry import (
@@ -28,10 +33,9 @@ from repro.core.registry import (
 )
 from repro.core.session import (
     SessionFactory,
-    SessionStats,
     SolverSession,
+    StreamedEdgeList,
     make_config,
-    make_config_from_stats,
 )
 from repro.core.spec import RulingSetResult
 from repro.core.verify import verify_ruling_set
@@ -201,20 +205,20 @@ def solve_ruling_set_stream(
     spill_dir: Optional[str] = None,
     kernel: Optional[str] = None,
     governed: bool = False,
-    in_set_key: str = "result_set",
 ) -> RulingSetResult:
     """Solve a ruling set on an edge-list *file*, out-of-core end to end.
 
     The full shard pipeline: a pass-1 scan sizes the regime from
-    ``(n, m, Δ)`` alone (:func:`~repro.core.session.make_config_from_stats`),
+    ``(n, m, Δ)`` alone (:func:`~repro.graph.stream.scan_edge_list_stats`),
     pass-2 ingest shards the edges per machine while reading
     (:func:`~repro.graph.stream.shard_edge_list`), and the run executes on
     the :class:`~repro.mpc.shard.ShardBackend`, so *no process ever holds
     the whole graph*: peak driver memory is O(one machine shard + spool
-    chunk).  Members and all model metrics are bit-identical to
-    :func:`solve_ruling_set` on the materialized graph under the same
-    ``ModOwnerMap`` — pinned by the ingest-parity tests and the
-    shard-parity CI gate.
+    chunk).  The run itself is an ordinary :class:`SolverSession` over a
+    :class:`~repro.core.session.StreamedEdgeList` input, so members and
+    all model metrics are bit-identical to :func:`solve_ruling_set` on
+    the materialized graph under the same ``ModOwnerMap`` — pinned by
+    the ingest-parity tests and the shard-parity CI gate.
 
     ``algorithm`` must be an MPC-family ruling-set algorithm (the LOCAL
     and sequential baselines need the whole graph by definition); α is
@@ -233,13 +237,8 @@ def solve_ruling_set_stream(
     the backend's residency stats (``shard_max_resident_words`` …) land
     in ``result.metrics``.
     """
-    from repro.core.registry import RunContext
     from repro.graph.io import read_edge_list
-    from repro.graph.stream import scan_edge_list_stats, shard_edge_list
-    from repro.mpc.graph_store import DistributedGraph
-    from repro.mpc.ownermap import ModOwnerMap
-    from repro.mpc.shard import ShardBackend
-    from repro.mpc.simulator import Simulator
+    from repro.graph.stream import scan_edge_list_stats
 
     if algorithm is None:
         algorithm = registry.DET_RULING
@@ -260,68 +259,20 @@ def solve_ruling_set_stream(
         return RulingSetResult(
             members=[], alpha=2, beta=beta, algorithm=algorithm
         )
-    cfg = make_config_from_stats(
-        stats.num_vertices,
-        stats.declared_edges,
-        stats.max_degree,
-        regime,
-        alpha_mem,
+    streamed = StreamedEdgeList(
+        path, stats, num_shards=num_shards,
+        chunk_messages=chunk_messages, spill_dir=spill_dir,
     )
-    if kernel is not None:
-        cfg = cfg.with_kernel(kernel)
-    cfg = cfg.with_backend("shard")
-    if governed:
-        cfg = cfg.with_governor()
-    cfg.validate_input_size(
-        MPCConfig.input_words(stats.num_vertices, stats.declared_edges)
-    )
-
-    owner_map = ModOwnerMap(stats.num_vertices, cfg.num_machines)
-    backend = ShardBackend(
-        num_shards=num_shards,
-        chunk_messages=chunk_messages,
-        spill_dir=spill_dir,
-    )
-    with shard_edge_list(path, owner_map, spill_dir=spill_dir) as sharded:
-        with Simulator(cfg, backend=backend) as sim:
-            dg = DistributedGraph.load_sharded(sim, sharded)
-            ctx = RunContext(
-                graph=None, alpha=2, beta=beta, seed=seed, dg=dg, sim=sim,
-                in_set_key=in_set_key,
-            )
-            payload = spec.runner(ctx)
-            if payload.members is None:
-                payload.members = dg.collect_marked(in_set_key)
-            backend_stats = dict(backend.stats())
-        metrics: Dict[str, object] = dict(sim.metrics.summary())
-        metrics.update(
-            {f"alg_{key}": value for key, value in payload.counters.items()}
-        )
-        metrics["num_machines"] = cfg.num_machines
-        metrics["memory_words"] = cfg.memory_words
-        metrics["ingest_edges"] = sharded.num_edges
-        metrics["ingest_max_degree"] = sharded.max_degree
-        metrics["ingest_checksum"] = sharded.checksum
-        metrics.update(
-            {f"shard_{key}": value for key, value in backend_stats.items()}
-        )
-        metrics.update(payload.extra_metrics)
-    run_stats = SessionStats(
-        rounds=sim.metrics.rounds,
-        metrics=metrics,
-        phase_rounds=sim.metrics.phase_rounds(),
-        wall_time_s=round(sim.metrics.wall_time_s, 6),
-        time_per_phase={
-            phase: round(seconds, 6)
-            for phase, seconds in sim.metrics.time_per_phase.items()
-        },
-    )
+    run = SolverSession(
+        streamed, spec, beta=beta, regime=regime, alpha_mem=alpha_mem,
+        seed=seed, backend="shard", kernel=kernel, governed=governed,
+    ).run()
     result = RulingSetResult(
-        members=payload.members,
+        members=run.payload.members,
         alpha=2,
         beta=spec.claimed_beta(None, 2, beta),
         algorithm=algorithm,
-        **run_stats.result_kwargs(),
+        **run.stats.result_kwargs(),
     )
     if verify:
         # Debug aid only: materializes the graph, defeating O(shard).

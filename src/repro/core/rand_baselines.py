@@ -1,8 +1,8 @@
 """Randomized baselines sharing the deterministic engines' code paths.
 
-The randomized MIS and ruling-set baselines are the *same* algorithms as
-:func:`repro.core.det_luby.det_luby_mis` and
-:func:`repro.core.det_ruling.det_ruling_set` with one substitution: the
+The randomized MIS and ruling-set baselines are the *same* phase
+programs as :func:`repro.core.det_luby.luby_program` and
+:func:`repro.core.det_ruling.ruling_program` with one substitution: the
 seed chooser **draws** a hash seed from the pairwise-independent family
 instead of *searching* for one.  Pairwise independence already yields the
 expected per-phase progress (Luby's analysis; Chebyshev coverage), so the
@@ -17,10 +17,10 @@ randomized MPC implementation would pay to agree on public coins.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
-from repro.core.det_luby import det_luby_mis
-from repro.core.det_ruling import det_ruling_set
+from repro.core.det_luby import luby_program
+from repro.core.det_ruling import ruling_program
 from repro.derand.family import Seed
 from repro.mpc.graph_store import ADJ, DistributedGraph
 from repro.mpc.primitives.broadcast import broadcast_value
@@ -63,34 +63,13 @@ def rand_luby_program(
     seed: int = 0,
     max_phases: int = 10_000,
 ):
-    """The randomized Luby baseline as a phase program (drawn seeds)."""
-    from repro.core.det_luby import luby_program
-
-    rng = SplitMix64(seed=seed)
-    return luby_program(
-        adj_key=adj_key,
-        in_set_key=in_set_key,
-        chooser=random_luby_chooser(rng),
-        max_phases=max_phases,
-        allow_stalls=64,
-    )
-
-
-def rand_luby_mis(
-    dg: DistributedGraph,
-    adj_key: str = ADJ,
-    in_set_key: str = "luby_in_set",
-    seed: int = 0,
-    max_phases: int = 10_000,
-) -> Dict[str, int]:
-    """Randomized Luby MIS in MPC (the E1/E8 baseline).
+    """The randomized Luby MIS baseline as a phase program.
 
     Tolerates a bounded number of consecutive unlucky (zero-progress)
     phases; with pairwise-independent marking those are rare.
     """
     rng = SplitMix64(seed=seed)
-    return det_luby_mis(
-        dg,
+    return luby_program(
         adj_key=adj_key,
         in_set_key=in_set_key,
         chooser=random_luby_chooser(rng),
@@ -105,31 +84,10 @@ def rand_ruling_program(
     seed: int = 0,
     endgame_degree: int = 4,
 ):
-    """The randomized ruling-set baseline as a phase program."""
-    from repro.core.det_ruling import ruling_program
-
+    """The randomized sparsify-and-gather ``(2, β)``-ruling set
+    baseline as a phase program."""
     rng = SplitMix64(seed=seed)
     return ruling_program(
-        beta=beta,
-        in_set_key=in_set_key,
-        chooser=random_sampling_chooser(rng.fork(1)),
-        luby_chooser=random_luby_chooser(rng.fork(2)),
-        luby_allow_stalls=64,
-        endgame_degree=endgame_degree,
-    )
-
-
-def rand_ruling_set(
-    dg: DistributedGraph,
-    beta: int = 2,
-    in_set_key: str = "rs_in_set",
-    seed: int = 0,
-    endgame_degree: int = 4,
-) -> Dict[str, int]:
-    """Randomized sparsify-and-gather ``(2, β)``-ruling set baseline."""
-    rng = SplitMix64(seed=seed)
-    return det_ruling_set(
-        dg,
         beta=beta,
         in_set_key=in_set_key,
         chooser=random_sampling_chooser(rng.fork(1)),

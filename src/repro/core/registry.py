@@ -17,7 +17,7 @@ Adding an algorithm is a one-registration change::
         family=MPC_FAMILY,                  # mpc | local | sequential
         problem=RULING_SET,                 # ruling-set | matching
         description="what it computes",
-        runner=_run_my_alg,                 # see runner contract below
+        program_factory=_program_my_alg,    # see execution contract below
         claimed_beta=lambda graph, alpha, beta: beta,
         supports_alpha_gt2=False,
         uses_seed=False,
@@ -27,23 +27,27 @@ and it appears everywhere automatically: ``solve_ruling_set`` dispatches
 to it, the CLI ``--algorithm`` help lists it, sweeps validate it, and the
 drift guard starts protecting its name.
 
-Runner contract
----------------
-A runner is a module-level callable ``runner(ctx) -> RunPayload`` where
-``ctx`` is a :class:`RunContext`.  For ``mpc``-family algorithms the
-context carries the live simulator objects (``ctx.dg`` / ``ctx.sim``)
-plus the regime artifacts the session built once (notably
-``ctx.power_adjacency`` for α > 2); ruling-set runners mark members
-under ``ctx.in_set_key`` and return counters, matching runners return
-the matching edges directly.  ``local`` / ``sequential`` runners consume
-only ``ctx.graph`` / ``ctx.alpha`` / ``ctx.beta`` / ``ctx.seed`` and
-return members (plus LOCAL rounds) in the payload.  Runners import
-their algorithm modules lazily so the registry stays import-cycle-free.
+Execution contract
+------------------
+Every algorithm has exactly one execution form, fixed by its family
+(:func:`register` rejects any other combination):
 
-The MPC *lifecycle* (regime sizing, backend/trace wiring, simulator
-entry/exit, collection, metrics assembly) is owned by
-:class:`repro.core.session.SolverSession` — runners only run the
-algorithm.
+* ``mpc`` specs carry a ``program_factory(ctx) -> SuperstepProgram``
+  and no runner.  :class:`repro.core.session.SolverSession` is the only
+  code that runs the program: it owns the MPC lifecycle (regime sizing,
+  backend/trace wiring, simulator entry/exit, collection, metrics
+  assembly).  ``ctx`` is a :class:`RunContext` carrying the run
+  parameters plus the regime artifacts the session built once (notably
+  ``ctx.power_adjacency`` for α > 2).  Ruling-set programs mark members
+  under :data:`RESULT_SET`; matching programs fill the context's
+  ``matching`` slot.
+* ``local`` / ``sequential`` specs carry a ``runner(ctx) -> RunPayload``
+  and no program factory.  Runners consume only ``ctx.graph`` /
+  ``ctx.alpha`` / ``ctx.beta`` / ``ctx.seed`` and return members (plus
+  LOCAL rounds) in the payload.
+
+Factories and runners import their algorithm modules lazily so the
+registry stays import-cycle-free.
 """
 
 from __future__ import annotations
@@ -65,8 +69,6 @@ if TYPE_CHECKING:  # type-only: the registry imports no heavy modules
     from repro.core.program import SuperstepProgram
     from repro.graph.graph import Graph
     from repro.mpc.config import MPCConfig
-    from repro.mpc.graph_store import DistributedGraph
-    from repro.mpc.simulator import Simulator
 
 # ---------------------------------------------------------------------------
 # Canonical names — the ONLY place these strings are spelled in src/ or
@@ -103,14 +105,22 @@ PROBLEMS = (RULING_SET, MATCHING)
 # ---------------------------------------------------------------------------
 
 
+#: Machine-store key every MPC ruling-set program marks members under;
+#: the session collects the output from it.
+RESULT_SET = "result_set"
+
+
 @dataclass
 class RunContext:
-    """Everything a runner may consume, prepared once by the session.
+    """Everything a program factory or runner may consume, prepared once
+    by the session.
 
-    ``dg`` / ``sim`` are populated only for ``mpc``-family runs (inside
-    the session's simulator context).  ``power_adjacency`` is the
-    ``G^{α-1}`` adjacency the session materialised **once** for α > 2 —
-    regime sizing and execution share the same build instead of each
+    ``graph`` is the session's input: what LOCAL / sequential runners
+    consume (program factories never read it; for a streamed run it is
+    the :class:`~repro.core.session.StreamedEdgeList`, which answers
+    only count queries).  ``power_adjacency`` is the ``G^{α-1}``
+    adjacency the session materialised **once** for α > 2 — regime
+    sizing and execution share the same build instead of each
     recomputing it.
     """
 
@@ -118,19 +128,16 @@ class RunContext:
     alpha: int = 2
     beta: int = 2
     seed: int = 0
-    dg: Optional["DistributedGraph"] = None
-    sim: Optional["Simulator"] = None
     power_adjacency: Optional[Dict[int, Tuple[int, ...]]] = None
-    in_set_key: str = "result_set"
 
 
 @dataclass
 class RunPayload:
-    """What a runner hands back to the session.
+    """What one run hands back to the session.
 
-    ``members`` is left ``None`` by MPC ruling-set runners — the session
-    collects marked vertices from the distributed graph itself, so every
-    algorithm shares one collection path.
+    ``members`` stays ``None`` after an MPC ruling-set program — the
+    session collects the vertices marked under :data:`RESULT_SET` from
+    the distributed graph itself.
     """
 
     counters: Dict[str, int] = field(default_factory=dict)
@@ -152,10 +159,9 @@ ClaimedBeta = Callable[["Graph", int, int], int]
 ConfigFactory = Callable[["Graph", str, Tuple[int, int]], "MPCConfig"]
 
 #: ``program_factory(run_context) -> SuperstepProgram`` — how an
-#: MPC-family algorithm builds its phase program for one run.  The
-#: session prefers this over ``runner`` (it executes the program itself
-#: and assembles the payload from the program context); ``runner`` stays
-#: as the uniform fallback and the streaming path's entry point.
+#: MPC-family algorithm builds its phase program for one run; the
+#: session executes the program and assembles the payload from the
+#: program context.
 ProgramFactory = Callable[[RunContext], "SuperstepProgram"]
 
 #: ``claimed_rounds(graph, alpha, beta) -> int`` — a concrete ceiling on
@@ -182,7 +188,8 @@ class AlgorithmSpec:
     description:
         One line for generated help / docs tables.
     runner:
-        The runner callable (see the module docstring contract).
+        The ``local`` / ``sequential`` runner (see the module docstring
+        contract); ``None`` for ``mpc`` specs.
     claimed_beta:
         Claimed domination radius as a function of the run parameters
         (``None`` for problems where β is meaningless, e.g. matching).
@@ -198,9 +205,8 @@ class AlgorithmSpec:
         the session's default (:func:`repro.core.session.make_config`
         over the sizing graph).
     program_factory:
-        Phase-program construction for ``mpc``-family algorithms; when
-        present the session executes the program directly (``runner``
-        remains the streaming path's entry point and the fallback).
+        Phase-program construction for ``mpc``-family algorithms (the
+        session executes the program); ``None`` for the others.
     round_complexity:
         Asymptotic MPC round complexity as a display string for the
         generated help / README table (``—`` when not meaningful, e.g.
@@ -214,7 +220,7 @@ class AlgorithmSpec:
     family: str
     problem: str
     description: str
-    runner: Callable[[RunContext], RunPayload]
+    runner: Optional[Callable[[RunContext], RunPayload]] = None
     claimed_beta: Optional[ClaimedBeta] = None
     supports_alpha_gt2: bool = False
     uses_seed: bool = False
@@ -232,7 +238,11 @@ _REGISTRY: Dict[str, AlgorithmSpec] = {}
 
 
 def register(spec: AlgorithmSpec) -> AlgorithmSpec:
-    """Add ``spec`` to the registry (rejecting duplicates and bad enums)."""
+    """Add ``spec`` to the registry.
+
+    Rejects duplicates, bad enums, and specs whose execution form does
+    not match their family (see the module docstring contract).
+    """
     if spec.family not in FAMILIES:
         raise AlgorithmError(
             f"unknown family {spec.family!r} for {spec.name!r}; "
@@ -242,6 +252,13 @@ def register(spec: AlgorithmSpec) -> AlgorithmSpec:
         raise AlgorithmError(
             f"unknown problem {spec.problem!r} for {spec.name!r}; "
             f"expected one of {PROBLEMS}"
+        )
+    mpc = spec.family == MPC_FAMILY
+    forms = (spec.program_factory is not None, spec.runner is not None)
+    if forms != (mpc, not mpc):
+        raise AlgorithmError(
+            f"{spec.name!r}: {MPC_FAMILY} specs carry only a "
+            "program_factory; local and sequential specs only a runner"
         )
     if spec.name in _REGISTRY:
         raise AlgorithmError(f"algorithm {spec.name!r} already registered")
@@ -376,75 +393,9 @@ def markdown_table(problem: Optional[str] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Runners — lazy imports keep the registry cycle-free and cheap to load.
+# LOCAL / sequential runners — lazy imports keep the registry cycle-free
+# and cheap to load.
 # ---------------------------------------------------------------------------
-
-
-def _run_det_ruling(ctx: RunContext) -> RunPayload:
-    from repro.core.det_ruling import det_ruling_set
-
-    if ctx.alpha > 2:
-        from repro.core.alpha_ruling import det_alpha_ruling_set
-
-        _, counters = det_alpha_ruling_set(
-            ctx.dg, alpha=ctx.alpha, beta=ctx.beta,
-            in_set_key=ctx.in_set_key,
-            power_adjacency=ctx.power_adjacency,
-        )
-        return RunPayload(counters=counters)
-    counters = det_ruling_set(ctx.dg, beta=ctx.beta, in_set_key=ctx.in_set_key)
-    return RunPayload(counters=counters)
-
-
-def _run_rand_ruling(ctx: RunContext) -> RunPayload:
-    from repro.core.rand_baselines import rand_ruling_set
-
-    if ctx.alpha > 2:
-        from repro.core.alpha_ruling import det_alpha_ruling_set
-        from repro.core.rand_baselines import (
-            random_luby_chooser,
-            random_sampling_chooser,
-        )
-        from repro.util.rng import SplitMix64
-
-        rng = SplitMix64(seed=ctx.seed)
-        _, counters = det_alpha_ruling_set(
-            ctx.dg, alpha=ctx.alpha, beta=ctx.beta,
-            in_set_key=ctx.in_set_key,
-            chooser=random_sampling_chooser(rng.fork(1)),
-            luby_chooser=random_luby_chooser(rng.fork(2)),
-            luby_allow_stalls=64,
-            power_adjacency=ctx.power_adjacency,
-        )
-        return RunPayload(counters=counters)
-    counters = rand_ruling_set(
-        ctx.dg, beta=ctx.beta, in_set_key=ctx.in_set_key, seed=ctx.seed
-    )
-    return RunPayload(counters=counters)
-
-
-def _run_det_luby(ctx: RunContext) -> RunPayload:
-    from repro.core.det_luby import det_luby_mis
-
-    return RunPayload(
-        counters=det_luby_mis(ctx.dg, in_set_key=ctx.in_set_key)
-    )
-
-
-def _run_gp_ruling(ctx: RunContext) -> RunPayload:
-    from repro.core.gp_ruling import gp_2ruling_set
-
-    return RunPayload(
-        counters=gp_2ruling_set(ctx.dg, in_set_key=ctx.in_set_key)
-    )
-
-
-def _run_rand_luby(ctx: RunContext) -> RunPayload:
-    from repro.core.rand_baselines import rand_luby_mis
-
-    return RunPayload(
-        counters=rand_luby_mis(ctx.dg, in_set_key=ctx.in_set_key, seed=ctx.seed)
-    )
 
 
 def _run_greedy_mis(ctx: RunContext) -> RunPayload:
@@ -483,32 +434,8 @@ def _run_local_coloring_mis(ctx: RunContext) -> RunPayload:
     )
 
 
-def _run_det_matching(ctx: RunContext) -> RunPayload:
-    from repro.core.det_matching import det_maximal_matching
-
-    matching, counters = det_maximal_matching(ctx.dg)
-    return RunPayload(matching=matching, counters=counters)
-
-
-def _run_rand_matching(ctx: RunContext) -> RunPayload:
-    from repro.core.det_matching import det_maximal_matching
-    from repro.core.rand_baselines import random_luby_chooser
-    from repro.util.rng import SplitMix64
-
-    matching, counters = det_maximal_matching(
-        ctx.dg,
-        chooser=random_luby_chooser(SplitMix64(seed=ctx.seed)),
-        allow_stalls=64,
-    )
-    return RunPayload(matching=matching, counters=counters)
-
-
 # ---------------------------------------------------------------------------
-# Program factories — MPC-family algorithms as phase programs.  Each
-# mirrors its runner's dispatch exactly; the session executes the
-# program when the factory is present, so runner and factory must stay
-# bit-identical by construction (the runner is a thin wrapper over the
-# same program).
+# Program factories — MPC-family algorithms as phase programs.
 # ---------------------------------------------------------------------------
 
 
@@ -517,12 +444,12 @@ def _program_det_ruling(ctx: RunContext) -> "SuperstepProgram":
         from repro.core.alpha_ruling import alpha_program
 
         return alpha_program(
-            ctx.alpha, beta=ctx.beta, in_set_key=ctx.in_set_key,
+            ctx.alpha, beta=ctx.beta, in_set_key=RESULT_SET,
             power_adjacency=ctx.power_adjacency,
         )
     from repro.core.det_ruling import ruling_program
 
-    return ruling_program(beta=ctx.beta, in_set_key=ctx.in_set_key)
+    return ruling_program(beta=ctx.beta, in_set_key=RESULT_SET)
 
 
 def _program_rand_ruling(ctx: RunContext) -> "SuperstepProgram":
@@ -536,7 +463,7 @@ def _program_rand_ruling(ctx: RunContext) -> "SuperstepProgram":
 
         rng = SplitMix64(seed=ctx.seed)
         return alpha_program(
-            ctx.alpha, beta=ctx.beta, in_set_key=ctx.in_set_key,
+            ctx.alpha, beta=ctx.beta, in_set_key=RESULT_SET,
             chooser=random_sampling_chooser(rng.fork(1)),
             luby_chooser=random_luby_chooser(rng.fork(2)),
             luby_allow_stalls=64,
@@ -545,26 +472,26 @@ def _program_rand_ruling(ctx: RunContext) -> "SuperstepProgram":
     from repro.core.rand_baselines import rand_ruling_program
 
     return rand_ruling_program(
-        beta=ctx.beta, in_set_key=ctx.in_set_key, seed=ctx.seed
+        beta=ctx.beta, in_set_key=RESULT_SET, seed=ctx.seed
     )
 
 
 def _program_det_luby(ctx: RunContext) -> "SuperstepProgram":
     from repro.core.det_luby import luby_program
 
-    return luby_program(in_set_key=ctx.in_set_key)
+    return luby_program(in_set_key=RESULT_SET)
 
 
 def _program_rand_luby(ctx: RunContext) -> "SuperstepProgram":
     from repro.core.rand_baselines import rand_luby_program
 
-    return rand_luby_program(in_set_key=ctx.in_set_key, seed=ctx.seed)
+    return rand_luby_program(in_set_key=RESULT_SET, seed=ctx.seed)
 
 
 def _program_gp_ruling(ctx: RunContext) -> "SuperstepProgram":
     from repro.core.gp_ruling import gp_program
 
-    return gp_program(in_set_key=ctx.in_set_key)
+    return gp_program(in_set_key=RESULT_SET)
 
 
 def _program_det_matching(ctx: RunContext) -> "SuperstepProgram":
@@ -638,7 +565,6 @@ register(AlgorithmSpec(
     problem=RULING_SET,
     description="deterministic (2, β)-ruling set (derandomized "
     "sparsify-and-gather; the paper's headline)",
-    runner=_run_det_ruling,
     claimed_beta=_ruling_beta,
     supports_alpha_gt2=True,
     program_factory=_program_det_ruling,
@@ -651,7 +577,6 @@ register(AlgorithmSpec(
     problem=RULING_SET,
     description="randomized (2, β)-ruling set baseline (same engine, "
     "sampled seeds)",
-    runner=_run_rand_ruling,
     claimed_beta=_ruling_beta,
     supports_alpha_gt2=True,
     uses_seed=True,
@@ -665,7 +590,6 @@ register(AlgorithmSpec(
     problem=RULING_SET,
     description="deterministic MIS (derandomized Luby via conditional "
     "expectations)",
-    runner=_run_det_luby,
     claimed_beta=_mis_beta,
     program_factory=_program_det_luby,
     round_complexity="O(log n)",
@@ -676,7 +600,6 @@ register(AlgorithmSpec(
     family=MPC_FAMILY,
     problem=RULING_SET,
     description="randomized Luby MIS baseline",
-    runner=_run_rand_luby,
     claimed_beta=_mis_beta,
     uses_seed=True,
     program_factory=_program_rand_luby,
@@ -689,7 +612,6 @@ register(AlgorithmSpec(
     problem=RULING_SET,
     description="deterministic (2, 2)-ruling set via degree-class "
     "decomposition (the follow-up paper's O(log log Δ) route)",
-    runner=_run_gp_ruling,
     claimed_beta=_gp_beta,
     program_factory=_program_gp_ruling,
     round_complexity="O(log log Δ)",
@@ -752,7 +674,6 @@ register(AlgorithmSpec(
     problem=MATCHING,
     description="deterministic maximal matching (Luby engine on the "
     "distributed line graph)",
-    runner=_run_det_matching,
     config_factory=_matching_config_factory,
     program_factory=_program_det_matching,
     round_complexity="O(log m)",
@@ -764,7 +685,6 @@ register(AlgorithmSpec(
     problem=MATCHING,
     description="randomized maximal matching baseline (sampled Luby "
     "on the line graph)",
-    runner=_run_rand_matching,
     config_factory=_matching_config_factory,
     uses_seed=True,
     program_factory=_program_rand_matching,

@@ -1,50 +1,69 @@
-"""The one true MPC lifecycle: :class:`SolverSession`.
+"""The one MPC executor: :class:`SolverSession`.
 
-Before this module existed, every one-call driver re-implemented the
-same lifecycle by hand — ``solve_ruling_set`` had regime sizing,
-backend/trace wiring, simulator entry/exit, collection, and metrics
-assembly inline, while ``solve_matching`` carried its own (drifted) copy
-that silently lacked backend, trace, and regime support.  The session
-owns that lifecycle once, for every registered algorithm and problem:
+Every registered algorithm runs through the session, and it is the
+*only* code that executes an ``mpc`` algorithm: the spec's
+``program_factory`` builds a phase program, and the session owns the
+lifecycle around it once, for every algorithm and problem:
 
 1. **Regime sizing** — resolve the :class:`MPCConfig` from a named
    regime (or take the caller's explicit config), via the spec's
    ``config_factory`` when it has one.  For α > 2 the power graph
    ``G^{α-1}`` that the machines must hold is built **once** here, used
-   for sizing, and handed to the runner through the
+   for sizing, and handed to the program through the
    :class:`~repro.core.registry.RunContext` — execution does not
-   rebuild it (previously ``_solve_mpc`` sized on one sequential build
-   and ``det_alpha_ruling_set`` re-derived the same graph in-model).
-2. **Backend / trace wiring** — ``backend`` / ``backend_workers`` and
-   ``trace`` / ``trace_warn_utilization`` are applied uniformly, so
-   every algorithm (matching included) gets execution backends and the
-   superstep trace for free.
+   rebuild it.
+2. **Backend / trace wiring** — ``backend`` / ``backend_workers``,
+   ``kernel``, ``trace`` / ``trace_warn_utilization`` and ``governed``
+   are applied uniformly, so every algorithm (matching included) gets
+   execution backends and the superstep trace for free.
 3. **Simulator lifecycle** — the simulator is always entered as a
    context manager: a solve that raises still releases backend worker
    pools (the contract ``tests/core/test_pipeline.py`` pins).
-4. **Collection & assembly** — members are collected from the
-   distributed graph under one key, and rounds / metrics / phase
-   attribution / wall-clock / trace are assembled into one shared
-   :class:`SessionStats`, which the problem-specific result types
-   (:class:`~repro.core.spec.RulingSetResult`,
+4. **Execution** — the phase program runs against a fresh
+   :class:`~repro.core.program.ProgramContext` on the loaded graph.
+5. **Collection & assembly** — members are collected from the
+   distributed graph under :data:`~repro.core.registry.RESULT_SET`, and
+   rounds / metrics / phase attribution / wall-clock / trace are
+   assembled into one shared :class:`SessionStats`, which the
+   problem-specific result types (:class:`~repro.core.spec.RulingSetResult`,
    :class:`~repro.core.spec.MatchingResult`) embed verbatim.
+
+The input is an in-memory :class:`~repro.graph.graph.Graph` or a
+:class:`StreamedEdgeList` (an edge-list file run out-of-core, see
+:func:`repro.core.pipeline.solve_ruling_set_stream`).  A streamed input
+differs in exactly three things: it sizes from the pass-1 scan's
+counts, it loads per-machine shards with
+:meth:`~repro.mpc.graph_store.DistributedGraph.load_sharded` on a
+:class:`~repro.mpc.shard.ShardBackend` under
+:class:`~repro.mpc.ownermap.ModOwnerMap`, and it adds the ``ingest_*`` /
+``shard_*`` metrics.  Everything else is the same code.
 
 ``local`` / ``sequential`` algorithms never touch the simulator: the
 session runs their runner directly and returns empty MPC stats (0
-rounds; LOCAL round counts travel in ``metrics["local_rounds"]``),
-exactly as the hand-written drivers did.
+rounds; LOCAL round counts travel in ``metrics["local_rounds"]``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    Optional,
+    Tuple,
+    Union,
+)
 
+from repro.core.program import ProgramContext
 from repro.core.registry import (
-    AlgorithmSpec,
     LOCAL_FAMILY,
     MPC_FAMILY,
+    RESULT_SET,
     RULING_SET,
+    AlgorithmSpec,
     RunContext,
     RunPayload,
 )
@@ -53,6 +72,14 @@ from repro.graph.graph import Graph
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.simulator import Simulator
+
+if TYPE_CHECKING:
+    from repro.graph.stream import EdgeListStats
+
+#: ``(sim, dg, input_metrics)``: the entered simulator, the input loaded
+#: onto its machines, and the input's own metrics (read before the
+#: simulator exits).
+Distributed = Tuple[Simulator, DistributedGraph, Callable[[], Dict[str, object]]]
 
 
 def make_config_from_stats(
@@ -84,14 +111,17 @@ def make_config_from_stats(
 
 
 def make_config(
-    graph: Graph, regime: str = "sublinear", alpha: Tuple[int, int] = (2, 3)
+    graph: Union[Graph, StreamedEdgeList],
+    regime: str = "sublinear",
+    alpha: Tuple[int, int] = (2, 3),
 ) -> MPCConfig:
     """Build the :class:`MPCConfig` for a named regime.
 
-    Thin wrapper over :func:`make_config_from_stats` for callers holding
-    an in-memory :class:`Graph`; pass an explicit :class:`MPCConfig` to
-    the session (or to :func:`repro.core.pipeline.solve_ruling_set`) for
-    anything else.
+    Thin wrapper over :func:`make_config_from_stats` for an input that
+    answers the graph count queries: an in-memory :class:`Graph`, or a
+    :class:`StreamedEdgeList` answering from its pass-1 scan.  Pass an
+    explicit :class:`MPCConfig` to the session (or to
+    :func:`repro.core.pipeline.solve_ruling_set`) for anything else.
     """
     return make_config_from_stats(
         graph.num_vertices,
@@ -132,23 +162,89 @@ class SessionStats:
 
 @dataclass
 class SessionRun:
-    """One completed session: the runner's payload plus shared stats."""
+    """One completed session: the run's payload plus shared stats."""
 
     payload: RunPayload
     stats: SessionStats
     config: Optional[MPCConfig] = None
 
 
+@dataclass(frozen=True)
+class StreamedEdgeList:
+    """An edge-list file as a session input, never materialized.
+
+    ``stats`` is the file's pass-1 scan
+    (:func:`~repro.graph.stream.scan_edge_list_stats`); it answers the
+    same count queries as a :class:`~repro.graph.graph.Graph`, so the
+    session sizes both inputs with one code path.  ``num_shards`` /
+    ``chunk_messages`` / ``spill_dir`` are the
+    :class:`~repro.mpc.shard.ShardBackend` knobs.
+    """
+
+    path: object
+    stats: "EdgeListStats"
+    num_shards: int = 0
+    chunk_messages: int = 0
+    spill_dir: Optional[str] = None
+
+    @property
+    def num_vertices(self) -> int:
+        return self.stats.num_vertices
+
+    @property
+    def num_edges(self) -> int:
+        return self.stats.declared_edges
+
+    def max_degree(self) -> int:
+        return self.stats.max_degree
+
+    @contextmanager
+    def distribute(self, cfg: MPCConfig) -> Iterator[Distributed]:
+        """Pass-2 ingest, then a shard-backend simulator with every
+        machine's shard loaded; no process holds the whole graph."""
+        from repro.graph.stream import shard_edge_list
+        from repro.mpc.ownermap import ModOwnerMap
+        from repro.mpc.shard import ShardBackend
+
+        owner_map = ModOwnerMap(self.num_vertices, cfg.num_machines)
+        backend = ShardBackend(
+            num_shards=self.num_shards,
+            chunk_messages=self.chunk_messages,
+            spill_dir=self.spill_dir,
+        )
+        with shard_edge_list(
+            self.path, owner_map, spill_dir=self.spill_dir
+        ) as sharded:
+            with Simulator(cfg, backend=backend) as sim:
+
+                def input_metrics() -> Dict[str, object]:
+                    metrics: Dict[str, object] = {
+                        "ingest_edges": sharded.num_edges,
+                        "ingest_max_degree": sharded.max_degree,
+                        "ingest_checksum": sharded.checksum,
+                    }
+                    metrics.update(
+                        {f"shard_{key}": value
+                         for key, value in backend.stats().items()}
+                    )
+                    return metrics
+
+                dg = DistributedGraph.load_sharded(sim, sharded)
+                yield sim, dg, input_metrics
+
+
 class SolverSession:
     """One solver run, lifecycle included, for any registered algorithm.
 
-    Construct with the graph, the :class:`AlgorithmSpec`, and the run
-    parameters, then call :meth:`run`.  The session is single-use.
+    Construct with the input (a :class:`Graph`, or a
+    :class:`StreamedEdgeList` for an ``mpc`` algorithm), the
+    :class:`AlgorithmSpec`, and the run parameters, then call
+    :meth:`run`.  The session is single-use.
     """
 
     def __init__(
         self,
-        graph: Graph,
+        graph: Union[Graph, StreamedEdgeList],
         spec: AlgorithmSpec,
         *,
         beta: int = 2,
@@ -163,7 +259,6 @@ class SolverSession:
         trace: bool = False,
         trace_warn_utilization: float = 0.9,
         governed: bool = False,
-        in_set_key: str = "result_set",
         power_graph: Optional[Graph] = None,
     ) -> None:
         self.graph = graph
@@ -180,9 +275,8 @@ class SolverSession:
         self.trace_enabled = trace
         self.trace_warn_utilization = trace_warn_utilization
         self.governed = governed
-        self.in_set_key = in_set_key
         # The α > 2 power graph, built exactly once per session: it
-        # sizes the regime AND is handed to the runner for execution.
+        # sizes the regime AND is handed to the program for execution.
         # A warm caller (SessionFactory) may pass the build from an
         # earlier session on the same graph; power_graph is a pure
         # function of (graph, alpha), so reuse cannot change results.
@@ -199,7 +293,7 @@ class SolverSession:
     # -- regime sizing ---------------------------------------------------
 
     @property
-    def sizing_graph(self) -> Graph:
+    def sizing_graph(self) -> Union[Graph, StreamedEdgeList]:
         """The graph the machines must hold (``G^{α-1}`` when α > 2)."""
         return self._power if self._power is not None else self.graph
 
@@ -212,23 +306,29 @@ class SolverSession:
             for v in self._power.vertices()
         }
 
+    def regime_config(self) -> MPCConfig:
+        """The named regime's :class:`MPCConfig`, before any wiring.
+
+        The spec's ``config_factory`` (when present) owns
+        problem-specific sizing (e.g. the matching line-graph
+        footprint).
+        """
+        if self.spec.config_factory is not None:
+            return self.spec.config_factory(
+                self.sizing_graph, self.regime, self.alpha_mem
+            )
+        return make_config(self.sizing_graph, self.regime, self.alpha_mem)
+
     def resolve_config(self) -> MPCConfig:
         """The fully wired :class:`MPCConfig` for this run.
 
-        Explicit config wins over the named regime; the spec's
-        ``config_factory`` (when present) owns problem-specific sizing
-        (e.g. the matching line-graph footprint).  Backend, kernel, and
-        trace settings are applied here so every MPC algorithm shares
-        them.
+        Explicit config wins over the named regime.  Backend, kernel,
+        trace and governor settings are applied here so every MPC
+        algorithm shares them.
         """
-        if self.explicit_config is not None:
-            cfg = self.explicit_config
-        elif self.spec.config_factory is not None:
-            cfg = self.spec.config_factory(
-                self.sizing_graph, self.regime, self.alpha_mem
-            )
-        else:
-            cfg = make_config(self.sizing_graph, self.regime, self.alpha_mem)
+        cfg = self.explicit_config
+        if cfg is None:
+            cfg = self.regime_config()
         if self.backend is not None:
             cfg = cfg.with_backend(self.backend, self.backend_workers)
         if self.kernel is not None:
@@ -267,21 +367,27 @@ class SolverSession:
         metrics.update(payload.extra_metrics)
         return SessionRun(payload=payload, stats=SessionStats(metrics=metrics))
 
-    def _execute(self, ctx: RunContext) -> RunPayload:
-        """Run the spec — as a phase program when it declares one.
+    @contextmanager
+    def _distribute(self, cfg: MPCConfig) -> Iterator[Distributed]:
+        """The entered simulator with the input loaded onto it."""
+        if isinstance(self.graph, StreamedEdgeList):
+            with self.graph.distribute(cfg) as distributed:
+                yield distributed
+            return
+        # Context manager, not a trailing shutdown() call: a solve that
+        # raises (e.g. MPCViolationError) must still release the
+        # backend's worker pools, or every failed run leaks processes.
+        with Simulator(cfg) as sim:
+            yield sim, DistributedGraph.load(sim, self.graph), lambda: {}
 
-        Specs with a ``program_factory`` are executed through
-        :class:`~repro.core.program.SuperstepProgram` so the session owns
-        phase sequencing, key teardown, and counter bookkeeping; the
-        legacy ``runner`` stays as the streaming/direct entry point and
-        as the fallback for specs that have not been ported.
-        """
-        if self.spec.program_factory is None:
-            return self.spec.runner(ctx)
-        from repro.core.program import ProgramContext
-
+    def _execute(self, dg: DistributedGraph) -> RunPayload:
+        """Run the spec's phase program on the loaded graph."""
+        ctx = RunContext(
+            graph=self.graph, alpha=self.alpha, beta=self.beta,
+            seed=self.seed, power_adjacency=self.power_adjacency(),
+        )
         program = self.spec.program_factory(ctx)
-        pctx = ProgramContext(ctx.dg)
+        pctx = ProgramContext(dg)
         counters = program.run(pctx)
         return RunPayload(
             counters=counters,
@@ -292,20 +398,11 @@ class SolverSession:
 
     def _run_mpc(self) -> SessionRun:
         cfg = self.resolve_config()
-        # Context manager, not a trailing shutdown() call: a solve that
-        # raises (e.g. MPCViolationError) must still release the
-        # backend's worker pools, or every failed run leaks processes.
-        with Simulator(cfg) as sim:
-            dg = DistributedGraph.load(sim, self.graph)
-            ctx = RunContext(
-                graph=self.graph, alpha=self.alpha, beta=self.beta,
-                seed=self.seed, dg=dg, sim=sim,
-                power_adjacency=self.power_adjacency(),
-                in_set_key=self.in_set_key,
-            )
-            payload = self._execute(ctx)
+        with self._distribute(cfg) as (sim, dg, input_metrics):
+            payload = self._execute(dg)
             if payload.members is None and self.spec.problem == RULING_SET:
-                payload.members = dg.collect_marked(self.in_set_key)
+                payload.members = dg.collect_marked(RESULT_SET)
+            input_extra = input_metrics()
         metrics: Dict[str, object] = dict(sim.metrics.summary())
         metrics.update(
             {f"alg_{key}": value for key, value in payload.counters.items()}
@@ -316,6 +413,7 @@ class SolverSession:
             # Price the α > 2 densification without rebuilding G^{α-1}
             # downstream (E9 reads this instead of its own power_graph).
             metrics["power_edges"] = self._power.num_edges
+        metrics.update(input_extra)
         metrics.update(payload.extra_metrics)
         stats = SessionStats(
             rounds=sim.metrics.rounds,
@@ -396,13 +494,5 @@ class SessionFactory:
             session.alpha_mem,
         )
         if key not in self._config_cache:
-            if session.spec.config_factory is not None:
-                cfg = session.spec.config_factory(
-                    session.sizing_graph, session.regime, session.alpha_mem
-                )
-            else:
-                cfg = make_config(
-                    session.sizing_graph, session.regime, session.alpha_mem
-                )
-            self._config_cache[key] = cfg
+            self._config_cache[key] = session.regime_config()
         return self._config_cache[key]

@@ -8,7 +8,9 @@ to a long-lived front end:
 * **Transport.**  Newline-delimited JSON over a local unix socket (or
   stdio for subprocess embedding).  One request per line in, one
   response record per line out; responses carry the request's ``id``,
-  so clients may pipeline.
+  so clients may pipeline.  A socket line longer than
+  :data:`MAX_LINE_BYTES` is answered with a ``refused`` record naming
+  its ``line_bytes``, and the lines after it are still served.
 * **Admission control.**  A bounded request queue
   (:class:`AdmissionPolicy`).  Once queue depth reaches ``max_queue``
   — or the estimated words of admitted-but-unfinished work would
@@ -69,6 +71,30 @@ __all__ = [
 
 #: Tenant bucket for requests that do not name one.
 DEFAULT_TENANT = "default"
+
+#: Longest request line the socket transport reads (asyncio's default
+#: stream limit).  A longer line is consumed and refused with a
+#: ``line_bytes`` record; the connection keeps serving the lines after it.
+MAX_LINE_BYTES = 2 ** 16
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Tuple[bytes, int]:
+    """One wire line: ``(line, 0)``, or ``(b"", size)`` when the line
+    overran the reader's limit (it is consumed in full, newline
+    included, holding at most one limit's worth in memory).  ``(b"",
+    0)`` means EOF."""
+    overrun = 0
+    while True:
+        try:
+            chunk = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            chunk = exc.partial  # EOF: the final, unterminated line
+        except asyncio.LimitOverrunError as exc:
+            overrun += len(await reader.readexactly(exc.consumed))
+            continue
+        if overrun:
+            return b"", overrun + len(chunk)
+        return chunk, 0
 
 
 def _estimate_edges(family: str, n: int, param: int) -> int:
@@ -470,6 +496,18 @@ class ServeDaemon:
 
     # -- line protocol ---------------------------------------------------
 
+    def _refuse_line(self, line_bytes: int) -> Dict[str, Any]:
+        """Refusal for a request line longer than :data:`MAX_LINE_BYTES`."""
+        record = self._refusal(
+            {},
+            DEFAULT_TENANT,
+            f"request line is {line_bytes} bytes; "
+            f"the limit is {MAX_LINE_BYTES}",
+            0,
+        )
+        record["line_bytes"] = line_bytes
+        return record
+
     @staticmethod
     def _parse_line(line: bytes) -> Any:
         """One wire line → ``(request, None)`` or ``(None, error record)``."""
@@ -514,7 +552,10 @@ class ServeDaemon:
 
         try:
             while True:
-                line = await reader.readline()
+                line, line_bytes = await _read_line(reader)
+                if line_bytes:
+                    await respond(self._refuse_line(line_bytes))
+                    continue
                 if not line:
                     break
                 line = line.strip()
@@ -562,7 +603,7 @@ class ServeDaemon:
             for _ in range(self.workers)
         ]
         server = await asyncio.start_unix_server(
-            self._handle_connection, path=socket_path
+            self._handle_connection, path=socket_path, limit=MAX_LINE_BYTES
         )
         try:
             await self._shutdown.wait()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.det_ruling import _sampling_rate, det_ruling_set
+from repro.core.det_ruling import _sampling_rate, ruling_program
+from repro.core.program import ProgramContext
 from repro.core.verify import check_ruling_set, verify_ruling_set
 from repro.errors import AlgorithmError
 from repro.graph import generators as gen
@@ -25,7 +26,9 @@ def run_det_ruling(graph, beta=2, regime="sublinear"):
         )
     sim = Simulator(cfg)
     dg = DistributedGraph.load(sim, graph)
-    counters = det_ruling_set(dg, beta=beta, in_set_key="rs")
+    counters = ruling_program(beta=beta, in_set_key="rs").run(
+        ProgramContext(dg)
+    )
     return dg.collect_marked("rs"), counters, sim
 
 
@@ -71,7 +74,7 @@ class TestDetRuling:
         sim = Simulator(cfg)
         dg = DistributedGraph.load(sim, small_er)
         with pytest.raises(AlgorithmError):
-            det_ruling_set(dg, beta=1)
+            ruling_program(beta=1).run(ProgramContext(dg))
 
     def test_deterministic_across_runs(self, medium_er):
         a, _, _ = run_det_ruling(medium_er)
@@ -101,7 +104,7 @@ class TestDetRuling:
             cfg = MPCConfig.near_linear(max(1, graph.num_vertices), 1)
             sim = Simulator(cfg)
             dg = DistributedGraph.load(sim, graph)
-            det_ruling_set(dg, beta=2, in_set_key="rs")
+            ruling_program(beta=2, in_set_key="rs").run(ProgramContext(dg))
             members = dg.collect_marked("rs")
             if graph.num_vertices:
                 assert members == list(graph.vertices())

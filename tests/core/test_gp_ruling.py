@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.core.gp_ruling import claimed_round_bound, gp_2ruling_set
+from repro.core.gp_ruling import claimed_round_bound, gp_program
 from repro.core.pipeline import solve_ruling_set
+from repro.core.program import ProgramContext
 from repro.core.verify import verify_ruling_set
 from repro.graph import generators as gen
 from repro.graph.graph import Graph
@@ -27,7 +28,7 @@ def run_gp(graph, regime="sublinear"):
         )
     sim = Simulator(cfg)
     dg = DistributedGraph.load(sim, graph)
-    counters = gp_2ruling_set(dg, in_set_key="gp")
+    counters = gp_program(in_set_key="gp").run(ProgramContext(dg))
     return dg.collect_marked("gp"), counters, sim
 
 
@@ -144,9 +145,7 @@ class TestWiring:
         from repro.core.registry import RunContext, get_algorithm
 
         spec = get_algorithm("gp-2ruling")
-        ctx = RunContext(
-            graph=small_er, alpha=2, beta=2, seed=0, in_set_key="gp"
-        )
+        ctx = RunContext(graph=small_er, alpha=2, beta=2, seed=0)
         names = spec.program_factory(ctx).phase_names()
         assert "gp-degree-class" in names
         assert "gp-sparsify" in names

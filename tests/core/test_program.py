@@ -300,7 +300,7 @@ def _registered_program(algorithm, graph):
     from repro.core.registry import RunContext, get_algorithm
 
     spec = get_algorithm(algorithm)
-    ctx = RunContext(graph=graph, alpha=2, beta=2, seed=0, in_set_key="x")
+    ctx = RunContext(graph=graph, alpha=2, beta=2, seed=0)
     return spec.program_factory(ctx)
 
 

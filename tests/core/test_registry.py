@@ -165,7 +165,30 @@ class TestRegistration:
             assert spec.family in FAMILIES
             assert spec.problem in PROBLEMS
             assert spec.description
-            assert callable(spec.runner)
+            # One execution form per algorithm: MPC specs run only as a
+            # phase program, LOCAL/sequential specs only as a runner.
+            if spec.family == MPC_FAMILY:
+                assert callable(spec.program_factory), spec.name
+                assert spec.runner is None, spec.name
+            else:
+                assert callable(spec.runner), spec.name
+                assert spec.program_factory is None, spec.name
+
+    @pytest.mark.parametrize("family,forms", [
+        (MPC_FAMILY, {"runner": lambda ctx: None}),
+        (MPC_FAMILY, {"runner": lambda ctx: None,
+                      "program_factory": lambda ctx: None}),
+        (MPC_FAMILY, {}),
+        (LOCAL_FAMILY, {"program_factory": lambda ctx: None}),
+        (SEQUENTIAL_FAMILY, {}),
+    ])
+    def test_execution_form_must_match_family(self, family, forms):
+        with pytest.raises(AlgorithmError, match="program_factory"):
+            registry.register(AlgorithmSpec(
+                name="bogus-form-alg", family=family, problem=RULING_SET,
+                description="", **forms,
+            ))
+        assert not registry.is_registered("bogus-form-alg")
 
     def test_family_filters_partition_registry(self):
         by_family = [

@@ -9,7 +9,8 @@ owner map.
 import pytest
 
 from repro.core.det_luby import det_luby_mis
-from repro.core.det_ruling import det_ruling_set
+from repro.core.det_ruling import ruling_program
+from repro.core.program import ProgramContext
 from repro.core.verify import verify_ruling_set
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
@@ -63,7 +64,9 @@ def test_det_ruling_valid_under_any_partition(map_name):
     graph = graph_under_test()
     members = run_with_map(
         graph, map_name,
-        lambda dg: det_ruling_set(dg, beta=2, in_set_key="out"),
+        lambda dg: ruling_program(beta=2, in_set_key="out").run(
+            ProgramContext(dg)
+        ),
     )
     verify_ruling_set(graph, members, alpha=2, beta=2)
 

@@ -10,8 +10,9 @@ runs of the same algorithm under the same owner map.
 import pytest
 
 from repro.core import registry
-from repro.core.pipeline import solve_ruling_set, solve_ruling_set_stream
-from repro.core.registry import RunContext
+from repro.core.pipeline import solve_ruling_set_stream
+from repro.core.program import ProgramContext
+from repro.core.registry import RESULT_SET, RunContext
 from repro.core.session import make_config, make_config_from_stats
 from repro.core.verify import verify_ruling_set
 from repro.errors import AlgorithmError
@@ -21,28 +22,31 @@ from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.ownermap import ModOwnerMap
 from repro.mpc.simulator import Simulator
 
+MPC_RULING_ALGORITHMS = registry.algorithm_names(
+    family=registry.MPC_FAMILY, problem=registry.RULING_SET
+)
+
 
 def _serial_reference(graph, algorithm, beta=2):
-    """The in-memory run under the stream path's owner map (ModOwnerMap)."""
+    """The spec's phase program, in memory, under the stream path's
+    owner map (ModOwnerMap) on the serial backend."""
     cfg = make_config(graph)
     spec = registry.get_algorithm(algorithm)
+    program = spec.program_factory(RunContext(graph=graph, beta=beta))
     with Simulator(cfg) as sim:
         dg = DistributedGraph.load(
             sim, graph, ModOwnerMap(graph.num_vertices, cfg.num_machines)
         )
-        spec.runner(
-            RunContext(graph=graph, beta=beta, dg=dg, sim=sim)
-        )
-        members = dg.collect_marked("result_set")
+        counters = program.run(ProgramContext(dg))
+        members = dg.collect_marked(RESULT_SET)
         rounds = sim.metrics.rounds
         metrics = dict(sim.metrics.summary())
+    metrics.update({f"alg_{key}": value for key, value in counters.items()})
     return members, rounds, metrics
 
 
 class TestStreamSolveParity:
-    @pytest.mark.parametrize(
-        "algorithm", [registry.DET_RULING, registry.DET_LUBY]
-    )
+    @pytest.mark.parametrize("algorithm", MPC_RULING_ALGORITHMS)
     def test_bit_identical_to_serial_in_memory(self, tmp_path, algorithm):
         graph = gen.gnp_random_graph(72, 5, 72, seed=17)
         path = tmp_path / "g.txt"

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from repro.core.alpha_ruling import det_alpha_ruling_set
+from repro.core.alpha_ruling import alpha_program
 from repro.core.exponentiation import BALLS, grow_balls
+from repro.core.program import ProgramContext
 from repro.errors import MPCConfigError, MPCViolationError
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
@@ -258,7 +259,7 @@ class TestGovernedExponentiation:
         def run(config, enforce=True):
             with Simulator(config, enforce=enforce) as sim:
                 dg = DistributedGraph.load(sim, graph)
-                det_alpha_ruling_set(dg, alpha=3, beta=2)
+                alpha_program(3, beta=2).run(ProgramContext(dg))
                 return dg.collect_marked("alpha_rs_in_set")
 
         with pytest.raises(MPCViolationError):

@@ -11,7 +11,8 @@ import os
 import pytest
 
 from repro.core.det_luby import det_luby_mis
-from repro.core.det_ruling import det_ruling_set
+from repro.core.det_ruling import ruling_program
+from repro.core.program import ProgramContext
 from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
 from repro.graph import generators as gen
 from repro.mpc.backends import resolve_backend
@@ -49,9 +50,13 @@ class TestParity:
 
     def test_det_ruling_parity(self):
         graph = gen.gnp_random_graph(64, 5, 64, seed=5)
-        serial = _run(graph, solver=det_ruling_set)
+
+        def det_ruling(dg):
+            ruling_program(in_set_key="result_set").run(ProgramContext(dg))
+
+        serial = _run(graph, solver=det_ruling)
         sharded = _run(
-            graph, backend=ShardBackend(num_shards=3), solver=det_ruling_set
+            graph, backend=ShardBackend(num_shards=3), solver=det_ruling
         )
         assert sharded == serial
 

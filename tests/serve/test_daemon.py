@@ -405,6 +405,52 @@ class TestSocketLifecycle:
         # the daemon exited cleanly (serve_unix returned).
         assert daemon.stats()["served"] == 2
 
+    # Just over the limit, and several times it (the reader's buffer
+    # overruns before the newline arrives).
+    @pytest.mark.parametrize("pad", [70_000, 300_000])
+    def test_oversized_line_is_refused_and_the_connection_survives(
+        self, tmp_path, pad
+    ):
+        from repro.serve.daemon import MAX_LINE_BYTES
+
+        socket_path = str(tmp_path / "repro.sock")
+        daemon = ServeDaemon(_engine())
+        oversized = b'{"id": "big", "pad": "' + b"x" * pad + b'"}\n'
+        assert len(oversized) > MAX_LINE_BYTES
+
+        async def scenario():
+            server = asyncio.create_task(daemon.serve_unix(socket_path))
+            for _ in range(200):
+                try:
+                    reader, writer = await asyncio.open_unix_connection(
+                        socket_path
+                    )
+                    break
+                except (ConnectionRefusedError, FileNotFoundError):
+                    await asyncio.sleep(0.01)
+            else:
+                raise AssertionError("daemon socket never came up")
+            ping = json.dumps({"op": "ping"}).encode() + b"\n"
+            writer.write(ping + oversized + ping)
+            await writer.drain()
+            responses = [
+                json.loads(await reader.readline()) for _ in range(3)
+            ]
+            writer.write(json.dumps({"op": "shutdown"}).encode() + b"\n")
+            await writer.drain()
+            await reader.read()
+            writer.close()
+            await server
+            return responses
+
+        first, refused, last = asyncio.run(scenario())
+        assert first == {"op": "ping", "status": "ok"}
+        assert last == {"op": "ping", "status": "ok"}
+        assert refused["status"] == "refused"
+        assert refused["line_bytes"] == len(oversized)
+        assert str(MAX_LINE_BYTES) in refused["error"]
+        assert daemon.stats()["refused"] == 1
+
     def test_control_op_unknown(self):
         daemon = ServeDaemon(_engine())
         record = daemon._control("reboot")
