@@ -40,6 +40,7 @@ from repro.errors import ReproError
 from repro.graph import generators as gen
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list, write_edge_list
+from repro.mpc.backends import BACKENDS
 
 FAMILIES = (
     "gnp", "powerlaw", "tree", "grid", "regular", "star", "cycle",
@@ -579,17 +580,14 @@ def make_parser() -> argparse.ArgumentParser:
             choices=("sublinear", "near-linear", "single"),
         )
         parser.add_argument(
-            "--backend", default=None,
-            choices=("serial", "process", "shard"),
+            "--backend", default=None, choices=sorted(BACKENDS),
             help="superstep execution backend (results are bit-identical; "
-            "'process' fans machine callbacks across worker processes; "
             "'shard' spills machine state to disk and keeps one shard "
             "resident — graphs bigger than RAM)",
         )
         parser.add_argument(
             "--workers", type=int, default=0,
-            help="process-pool size for --backend process (0 = one per "
-            "CPU); shard count for --backend shard (0 = default)",
+            help="shard count for --backend shard (0 = default)",
         )
         parser.add_argument(
             "--kernel", default=None, choices=("python", "numpy"),
@@ -660,14 +658,12 @@ def make_parser() -> argparse.ArgumentParser:
         + " (default: picked from --randomized)",
     )
     p_match.add_argument(
-        "--backend", default=None,
-        choices=("serial", "process", "shard"),
+        "--backend", default=None, choices=sorted(BACKENDS),
         help="superstep execution backend (results are bit-identical)",
     )
     p_match.add_argument(
         "--workers", type=int, default=0,
-        help="process-pool size for --backend process (0 = one per "
-        "CPU); shard count for --backend shard (0 = default)",
+        help="shard count for --backend shard (0 = default)",
     )
     p_match.add_argument(
         "--kernel", default=None, choices=("python", "numpy"),

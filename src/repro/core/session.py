@@ -12,13 +12,15 @@ lifecycle around it once, for every algorithm and problem:
    for sizing, and handed to the program through the
    :class:`~repro.core.registry.RunContext` — execution does not
    rebuild it.
-2. **Backend / trace wiring** — ``backend`` / ``backend_workers``,
-   ``kernel``, ``trace`` / ``trace_warn_utilization`` and ``governed``
-   are applied uniformly, so every algorithm (matching included) gets
-   execution backends and the superstep trace for free.
+2. **Backend / trace wiring** — ``backend`` (``"serial"`` or
+   ``"shard"``) / ``backend_workers`` (the shard count), ``kernel``,
+   ``trace`` / ``trace_warn_utilization`` and ``governed`` are applied
+   uniformly, so every algorithm (matching included) gets execution
+   backends and the superstep trace for free.
 3. **Simulator lifecycle** — the simulator is always entered as a
-   context manager: a solve that raises still releases backend worker
-   pools (the contract ``tests/core/test_pipeline.py`` pins).
+   context manager: a solve that raises still releases backend
+   resources such as shard spill files (the contract
+   ``tests/core/test_pipeline.py`` pins).
 4. **Execution** — the phase program runs against a fresh
    :class:`~repro.core.program.ProgramContext` on the loaded graph.
 5. **Collection & assembly** — members are collected from the
@@ -376,7 +378,7 @@ class SolverSession:
             return
         # Context manager, not a trailing shutdown() call: a solve that
         # raises (e.g. MPCViolationError) must still release the
-        # backend's worker pools, or every failed run leaks processes.
+        # backend's resources, or every failed run leaks spill files.
         with Simulator(cfg) as sim:
             yield sim, DistributedGraph.load(sim, self.graph), lambda: {}
 

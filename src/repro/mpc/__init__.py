@@ -14,9 +14,10 @@ a single-process, cycle-accurate simulator of the MPC model.
   memory — the paper's quantities — plus per-round / per-phase
   wall-clock so simulator performance work is measurable.
 * :mod:`repro.mpc.backends` supplies pluggable superstep execution:
-  :class:`SerialBackend` (default, bit-identical to the historical
-  engine) and :class:`ProcessPoolBackend` (opt-in worker-process
-  fan-out with the same deterministic results).
+  :class:`SerialBackend` (default, every machine resident) and the
+  out-of-core ``ShardBackend`` (:mod:`repro.mpc.shard`), with identical
+  results.  Each backend routes its own exchange and prices its own
+  machines' memory.
 * :class:`TraceRecorder` (opt-in via ``MPCConfig.trace``) captures
   per-superstep, per-machine observability events — words, memory
   high-water, budget headroom vs ``S`` — with JSONL and Chrome-trace
@@ -24,7 +25,6 @@ a single-process, cycle-accurate simulator of the MPC model.
 """
 
 from repro.mpc.backends import (
-    ProcessPoolBackend,
     SerialBackend,
     SuperstepBackend,
     resolve_backend,
@@ -48,6 +48,5 @@ __all__ = [
     "DistributedGraph",
     "SuperstepBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "resolve_backend",
 ]

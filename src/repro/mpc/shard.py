@@ -1,6 +1,6 @@
 """Sharded, out-of-core superstep execution — graphs bigger than RAM.
 
-Every other backend keeps all ``k`` simulated machines resident in the
+The serial backend keeps all ``k`` simulated machines resident in the
 driver process, so the "low-space" MPC regimes are simulated with O(full
 graph) real memory.  :class:`ShardBackend` honours the memory constraint
 at the *simulator* level: machines are grouped into contiguous id-ordered
@@ -17,14 +17,16 @@ Determinism is preserved by construction, not by luck:
   so concatenating a spool file reproduces the serial arrival order
   bit-for-bit.  No process ever buffers a full round's traffic: spool
   buffers flush every ``chunk_messages`` messages.
-* Budget violations and routing errors are raised with the identical
-  type, message text, and machine-id order as the serial routing loop in
-  :meth:`~repro.mpc.simulator.Simulator.communicate` — the shard-parity
-  CI gate pins this.
+* Every outbox goes through the same
+  :class:`~repro.mpc.backends.ExchangeStats` as the serial backend's, so
+  budget violations and routing errors carry the identical type, text
+  and machine-id order — the shard-parity CI gate pins this.
+* Memory is priced at spill time with the same ``words_of`` contract,
+  and :meth:`ShardBackend.memory_snapshot` reports those prices.
 
-Driver-side code must not touch ``machines[i].store`` directly while this
-backend owns state (the resident copy is usually a cleared husk); reads
-and plants go through :meth:`run_harvest`, which the simulator exposes as
+Driver-side code must not touch ``machines[i].store`` directly: the
+resident copy is usually a cleared husk.  Reads and plants go through
+:meth:`run_harvest`, which the simulator exposes as
 :meth:`~repro.mpc.simulator.Simulator.harvest`.
 
 Knobs: ``REPRO_SHARD_DIR`` overrides the spill directory,
@@ -39,7 +41,7 @@ import shutil
 import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
+from repro.errors import MPCConfigError
 from repro.mpc.backends import (
     ExchangeStats,
     MachineFn,
@@ -67,8 +69,6 @@ class ShardBackend(SuperstepBackend):
     """
 
     name = "shard"
-    owns_state = True
-    routes_messages = True
 
     def __init__(
         self,
@@ -204,9 +204,9 @@ class ShardBackend(SuperstepBackend):
         return out
 
     # -- contract queries -----------------------------------------------
-    def memory_snapshot(self) -> Optional[List[int]]:
-        if not self._attached:
-            return None
+    def memory_snapshot(self, machines: Sequence[Machine]) -> List[int]:
+        # The words each machine held when its shard was last spilled,
+        # priced by the same words_of contract as the serial backend.
         return list(self._words)
 
     def resident_machines_hint(self) -> Optional[int]:
@@ -245,13 +245,10 @@ class ShardBackend(SuperstepBackend):
                 or chunk_messages < self._stats["min_chunk_messages"]
             ):
                 self._stats["min_chunk_messages"] = chunk_messages
-        k = len(machines)
         num_shards = len(self._shards)
-        received_words = [0] * k
-        sent_per_machine = [0] * k if want_sent_per_machine else None
-        total_messages = 0
-        total_words = 0
-        max_sent = 0
+        exchange = ExchangeStats(
+            len(machines), memory_words, enforce, want_sent_per_machine
+        )
 
         # Phase A: run senders shard by shard (ascending mid = serial
         # order) and spool each message toward its destination shard.
@@ -280,32 +277,13 @@ class ShardBackend(SuperstepBackend):
                 self._load(machines, sid)
                 for sender in self._shards[sid]:
                     outbox = fn(machines[sender])
-                    sent_words = 0
-                    for message in outbox if outbox is not None else ():
-                        if not 0 <= message.dst < k:
-                            raise MPCRoutingError(
-                                f"machine {sender} sent to nonexistent "
-                                f"machine {message.dst} (k={k})"
-                            )
-                        sent_words += message.words
-                        received_words[message.dst] += message.words
+                    for message in exchange.route(sender, outbox):
                         dst_sid = self._shard_of[message.dst]
                         buffers[dst_sid].append(
                             (message.dst, message.payload)
                         )
                         if len(buffers[dst_sid]) >= chunk_messages:
                             _flush(dst_sid)
-                        total_messages += 1
-                    total_words += sent_words
-                    if sent_words > max_sent:
-                        max_sent = sent_words
-                    if sent_per_machine is not None:
-                        sent_per_machine[sender] = sent_words
-                    if enforce and sent_words > memory_words:
-                        raise MPCViolationError(
-                            f"machine {sender} sent {sent_words} words in "
-                            f"one round, budget S={memory_words}"
-                        )
                 self._spill(machines, sid)
             for dst_sid in range(num_shards):
                 _flush(dst_sid)
@@ -313,15 +291,7 @@ class ShardBackend(SuperstepBackend):
             for spool in spools:
                 if spool is not None:
                     spool.close()
-
-        max_received = max(received_words, default=0)
-        if enforce:
-            for mid, words in enumerate(received_words):
-                if words > memory_words:
-                    raise MPCViolationError(
-                        f"machine {mid} received {words} words in one "
-                        f"round, budget S={memory_words}"
-                    )
+        exchange.close()
 
         # Phase B: deliver.  Each shard's spool is replayed in write
         # order — sender id ascending, then send order — which is the
@@ -344,14 +314,7 @@ class ShardBackend(SuperstepBackend):
                 os.unlink(spool_path)
             self._spill(machines, sid)
 
-        return ExchangeStats(
-            total_messages=total_messages,
-            total_words=total_words,
-            max_sent=max_sent,
-            max_received=max_received,
-            received_per_machine=received_words,
-            sent_per_machine=sent_per_machine,
-        )
+        return exchange
 
     # -- driver access --------------------------------------------------
     def run_harvest(

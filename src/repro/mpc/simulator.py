@@ -12,17 +12,22 @@ An algorithm drives the simulator through two verbs:
     messages, enforce the per-machine send/receive budget ``S``, deliver
     inboxes, and advance the round counter.
 
+Both verbs then audit every machine's memory against ``S``.
+
 Determinism: machines are processed in id order and each inbox is sorted by
 ``(sender id, arrival index)``, so a simulated run is a pure function of
 (algorithm, input, config).
 
-*Execution* of the machine callbacks is delegated to a pluggable
-:class:`~repro.mpc.backends.SuperstepBackend` (serial by default; an
-opt-in process pool fans callbacks across workers).  Backends change
-wall-clock only: results are merged in machine-id order before routing,
-so every backend yields the identical run.  Each superstep's wall-clock
-is recorded into :class:`~repro.mpc.metrics.RunMetrics` (per round and
-per phase) so simulator performance is measured, never asserted.
+A superstep is *executed* by a pluggable
+:class:`~repro.mpc.backends.SuperstepBackend` (serial by default; the
+shard backend runs out-of-core).  The backend runs the callbacks, routes
+the exchange and prices each machine's memory; every backend yields the
+identical run.  The simulator observes what the backend reports from
+one place per round (:meth:`Simulator.communicate`) and one per memory
+audit (``_check_memory``): :class:`~repro.mpc.metrics.RunMetrics`, the
+trace and the load governor are fed there, per machine in id order.
+Each superstep's wall-clock is recorded per round and per phase, so
+simulator performance is measured, never asserted.
 
 Budget enforcement is strict by default: a machine exceeding its memory
 budget, or sending/receiving more than ``S`` words in one superstep, aborts
@@ -45,9 +50,9 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.errors import MPCRoutingError, MPCViolationError
+from repro.errors import MPCViolationError
 from repro.mpc.backends import SuperstepBackend, resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.governor import GovernorPolicy, LoadGovernor
@@ -127,9 +132,9 @@ class Simulator:
         else:
             self.governor = None
         if self.governor is not None:
-            attach = getattr(self.backend, "attach_governor", None)
-            if attach is not None:
-                attach(self.governor)
+            self.backend.attach_governor(self.governor)
+        if self.trace is not None:
+            self.trace.backend_name = self.backend.name
 
     # ------------------------------------------------------------------
     # Supersteps
@@ -158,107 +163,26 @@ class Simulator:
         round completes.
         """
         started = time.perf_counter()
-        if self.backend.routes_messages:
-            # A state-owning backend performs the whole route-validate-
-            # deliver cycle itself (it cannot hand us all outboxes at
-            # once without materializing the round's traffic) and reports
-            # back the aggregates this loop would have produced.
-            stats = self.backend.run_exchange(
-                self.machines,
-                fn,
-                memory_words=self.config.memory_words,
-                enforce=self.enforce,
-                want_sent_per_machine=self.trace is not None,
-            )
-            self.metrics.record_round(
-                messages=stats.total_messages,
+        stats = self.backend.run_exchange(
+            self.machines,
+            fn,
+            memory_words=self.config.memory_words,
+            enforce=self.enforce,
+            want_sent_per_machine=self.trace is not None,
+        )
+        self.metrics.record_round(
+            messages=stats.total_messages,
+            words=stats.total_words,
+            max_sent=stats.max_sent,
+            max_received=stats.max_received,
+        )
+        if self.governor is not None:
+            # Same model quantities the trace records — wall clock
+            # never reaches the governor.
+            self.governor.observe_round(
                 words=stats.total_words,
                 max_sent=stats.max_sent,
                 max_received=stats.max_received,
-            )
-            if self.governor is not None:
-                # Same model quantities the trace records — wall clock
-                # never reaches the governor.
-                self.governor.observe_round(
-                    words=stats.total_words,
-                    max_sent=stats.max_sent,
-                    max_received=stats.max_received,
-                )
-            elapsed = time.perf_counter() - started
-            self.metrics.record_elapsed(elapsed, is_round=True)
-            if self.trace is not None:
-                self.trace.record_round(
-                    round_index=self.metrics.rounds,
-                    phase=self.metrics.current_phase(),
-                    elapsed_s=elapsed,
-                    messages=stats.total_messages,
-                    words=stats.total_words,
-                    max_sent=stats.max_sent,
-                    max_received=stats.max_received,
-                    sent_per_machine=stats.sent_per_machine,
-                    received_per_machine=stats.received_per_machine,
-                    backend_stats=self.backend.stats(),
-                )
-            self._check_memory()
-            return
-        outboxes = self.backend.run_communicate(self.machines, fn)
-
-        inboxes: List[List[Tuple[int, ...]]] = [
-            [] for _ in self.machines
-        ]
-        received_words = [0] * len(self.machines)
-        sent_per_machine = [0] * len(self.machines) if self.trace else None
-        total_messages = 0
-        total_words = 0
-        max_sent = 0
-
-        for sender, outbox in enumerate(outboxes):
-            sent_words = 0
-            for message in outbox:
-                # Both bounds matter: a negative dst would silently wrap
-                # via Python list indexing and deliver to machine k+dst.
-                if not 0 <= message.dst < len(self.machines):
-                    raise MPCRoutingError(
-                        f"machine {sender} sent to nonexistent machine "
-                        f"{message.dst} (k={len(self.machines)})"
-                    )
-                sent_words += message.words
-                received_words[message.dst] += message.words
-                inboxes[message.dst].append(message.payload)
-                total_messages += 1
-            total_words += sent_words
-            max_sent = max(max_sent, sent_words)
-            if sent_per_machine is not None:
-                sent_per_machine[sender] = sent_words
-            if self.enforce and sent_words > self.config.memory_words:
-                raise MPCViolationError(
-                    f"machine {sender} sent {sent_words} words in one round, "
-                    f"budget S={self.config.memory_words}"
-                )
-
-        max_received = max(received_words, default=0)
-        if self.enforce:
-            for mid, words in enumerate(received_words):
-                if words > self.config.memory_words:
-                    raise MPCViolationError(
-                        f"machine {mid} received {words} words in one "
-                        f"round, budget S={self.config.memory_words}"
-                    )
-
-        for machine, inbox in zip(self.machines, inboxes):
-            machine.inbox = inbox  # arrival order: sender id, then send order
-
-        self.metrics.record_round(
-            messages=total_messages,
-            words=total_words,
-            max_sent=max_sent,
-            max_received=max_received,
-        )
-        if self.governor is not None:
-            self.governor.observe_round(
-                words=total_words,
-                max_sent=max_sent,
-                max_received=max_received,
             )
         elapsed = time.perf_counter() - started
         self.metrics.record_elapsed(elapsed, is_round=True)
@@ -267,12 +191,12 @@ class Simulator:
                 round_index=self.metrics.rounds,
                 phase=self.metrics.current_phase(),
                 elapsed_s=elapsed,
-                messages=total_messages,
-                words=total_words,
-                max_sent=max_sent,
-                max_received=max_received,
-                sent_per_machine=sent_per_machine,
-                received_per_machine=received_words,
+                messages=stats.total_messages,
+                words=stats.total_words,
+                max_sent=stats.max_sent,
+                max_received=stats.max_received,
+                sent_per_machine=stats.sent_per_machine,
+                received_per_machine=stats.received_per_machine,
                 backend_stats=self.backend.stats(),
             )
         self._check_memory()
@@ -289,7 +213,7 @@ class Simulator:
     def machine(self, mid: int) -> Machine:
         """Return machine ``mid``.
 
-        Under a state-owning backend the returned object's store may be a
+        Under the shard backend the returned object's store may be a
         cleared husk (the real state is spilled); driver-side reads must
         go through :meth:`harvest` instead.
         """
@@ -305,15 +229,15 @@ class Simulator:
         Applies ``fn`` to the selected machines (all of them, in id
         order, when ``only`` is None) and returns the results in the
         order requested.  This is the only sanctioned way for driver code
-        to touch machine stores between supersteps: state-owning backends
-        page the right shard in, persist any mutation ``fn`` made, and
-        keep their memory accounting coherent.  On in-memory backends it
+        to touch machine stores between supersteps: the shard backend
+        pages the right shard in, persists any mutation ``fn`` made, and
+        keeps its memory accounting coherent.  On the serial backend it
         degenerates to a plain loop.
         """
         return self.backend.run_harvest(self.machines, fn, only)
 
     def shutdown(self) -> None:
-        """Release backend resources (worker pools); safe to call twice."""
+        """Release backend resources (spill files); safe to call twice."""
         self.backend.shutdown()
 
     def __enter__(self) -> "Simulator":
@@ -331,33 +255,15 @@ class Simulator:
     # Internal
     # ------------------------------------------------------------------
     def _check_memory(self) -> None:
-        snapshot = self.backend.memory_snapshot()
-        if snapshot is not None:
-            # State-owning backend: audit the words it priced at spill
-            # time (same words_of contract, same id order, same fault).
-            for mid, words in enumerate(snapshot):
-                self.metrics.record_memory(words)
-                if self.trace is not None:
-                    self.trace.record_memory(mid, words, self.metrics.rounds)
-                if self.governor is not None:
-                    self.governor.observe_memory(words)
-                if self.enforce and words > self.config.memory_words:
-                    raise MPCViolationError(
-                        f"machine {mid} holds {words} words, budget "
-                        f"S={self.config.memory_words}"
-                    )
-            return
-        for machine in self.machines:
-            words = machine.memory_words()
+        snapshot = self.backend.memory_snapshot(self.machines)
+        for mid, words in enumerate(snapshot):
             self.metrics.record_memory(words)
             if self.trace is not None:
-                self.trace.record_memory(
-                    machine.mid, words, self.metrics.rounds
-                )
+                self.trace.record_memory(mid, words, self.metrics.rounds)
             if self.governor is not None:
                 self.governor.observe_memory(words)
             if self.enforce and words > self.config.memory_words:
                 raise MPCViolationError(
-                    f"machine {machine.mid} holds {words} words, budget "
+                    f"machine {mid} holds {words} words, budget "
                     f"S={self.config.memory_words}"
                 )

@@ -276,8 +276,8 @@ class BoundedCache:
     """A tiny LRU for driver-side per-machine caches.
 
     ``capacity=None`` means unbounded — correct when every machine stays
-    resident (serial/process backends).  Out-of-core backends report how
-    many machines are resident at once
+    resident (the serial backend).  The out-of-core shard backend reports
+    how many machines are resident at once
     (:meth:`~repro.mpc.backends.SuperstepBackend.resident_machines_hint`);
     sizing per-machine caches to that bound keeps the driver's footprint
     O(shard) instead of silently rebuilding O(all machines) state the

@@ -75,6 +75,10 @@ class TraceRecorder:
         ``warn_utilization * S``.
     machine_peak_words:
         Per-machine memory high-water marks observed so far.
+    backend_name:
+        The execution backend named in the export's ``meta`` record:
+        ``config.backend`` until a simulator adopts the recorder and
+        sets the name of the backend that actually runs.
     """
 
     def __init__(self, config: Any, warn_utilization: float = 0.9):
@@ -87,6 +91,7 @@ class TraceRecorder:
         self.events: List[Dict[str, Any]] = []
         self.warnings: List[Dict[str, Any]] = []
         self.machine_peak_words: Dict[int, int] = {}
+        self.backend_name: str = config.backend
         self._clock_us = 0.0
         self._warned: set = set()  # (kind, machine, round) dedup
 
@@ -212,7 +217,7 @@ class TraceRecorder:
             "schema": SCHEMA_VERSION,
             "num_machines": self.config.num_machines,
             "memory_words": self.config.memory_words,
-            "backend": self.config.backend,
+            "backend": self.backend_name,
             "warn_utilization": self.warn_utilization,
         }
         summary = {

@@ -15,7 +15,7 @@ from repro.core.det_ruling import ruling_program
 from repro.core.program import ProgramContext
 from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
 from repro.graph import generators as gen
-from repro.mpc.backends import resolve_backend
+from repro.mpc.backends import SerialBackend, resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.machine import words_of
@@ -130,7 +130,7 @@ class TestResidency:
             sim.local(
                 lambda m: m.store.__setitem__("x", tuple(range(m.mid + 1)))
             )
-            snapshot = sim.backend.memory_snapshot()
+            snapshot = sim.backend.memory_snapshot(sim.machines)
         expected = [words_of({"x": tuple(range(mid + 1))}) for mid in range(4)]
         assert snapshot == expected
 
@@ -239,13 +239,11 @@ class TestWiring:
 
     def test_env_override_loses_to_explicit_config(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "shard")
-        cfg = MPCConfig(num_machines=2, memory_words=1024).with_backend(
-            "process", 1
-        )
-        sim = Simulator(cfg)
+        cfg = MPCConfig(num_machines=2, memory_words=1024)
+        backend = SerialBackend()
+        sim = Simulator(cfg, backend=backend)
         try:
-            assert not isinstance(sim.backend, ShardBackend)
-            assert sim.backend.name == "process"
+            assert sim.backend is backend
         finally:
             sim.shutdown()
 

@@ -12,7 +12,7 @@ from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.message import Message
-from repro.mpc.simulator import Simulator
+from repro.mpc.simulator import BACKEND_ENV, Simulator
 from repro.mpc.trace import TraceRecorder
 
 
@@ -62,10 +62,10 @@ class TestObserverPurity:
         assert traced_members == plain_members
         assert traced_metrics.summary() == plain_metrics.summary()
 
-    def test_identical_summary_and_members_process(self):
+    def test_identical_summary_and_members_shard(self):
         plain_members, plain_metrics, _ = run_det_luby("serial", trace=False)
         traced_members, traced_metrics, trace = run_det_luby(
-            "process", trace=True
+            "shard", trace=True
         )
         assert traced_members == plain_members
         assert traced_metrics.summary() == plain_metrics.summary()
@@ -123,6 +123,17 @@ class TestJsonlExport:
             r["words"] for r in records if r["type"] == "round"
         )
         assert round_words == metrics.total_words
+
+    def test_meta_names_the_backend_that_ran(self, monkeypatch):
+        # The environment override picks the backend, not the config.
+        from repro.core.pipeline import solve_ruling_set
+
+        monkeypatch.setenv(BACKEND_ENV, "shard")
+        graph = gen.gnp_random_graph(48, 6, 48, seed=3)
+        trace = solve_ruling_set(graph, trace=True).trace
+        meta = json.loads(trace.jsonl_lines()[0])
+        assert meta["type"] == "meta" and meta["backend"] == "shard"
+        assert "exchange_steps" in trace.round_events()[0]["backend"]
 
     def test_headroom_never_exceeds_budget(self):
         _, _, trace = run_det_luby(trace=True)
