@@ -6,11 +6,14 @@ points rather than in-process calls:
 1. start ``repro-mpc serve`` as a subprocess on a unix socket;
 2. replay a small two-tenant request trace over the socket (pipelined,
    duplicates included), bracketed by ``ping`` / ``stats`` / a clean
-   ``shutdown``;
+   ``shutdown``, then send a request with a mistyped field followed by
+   a good request and a ``ping`` on one connection;
 3. run the identical trace through ``repro-mpc batch`` (tenants
    stripped — the batch engine knows nothing of them) against a fresh
    cache;
-4. assert every socket response is a served record, the daemon's
+4. assert the mistyped request comes back ``invalid`` while the same
+   connection still answers the lines after it, every socket response
+   to the trace is a served record, the daemon's
    counters account for every request, and each served record's
    deterministic part is **byte-identical** to the batch path's record
    for the same id once the ``_serve`` side channel is stripped — the
@@ -115,6 +118,11 @@ def main() -> int:
         ping = talk(sock, [{"op": "ping"}], 1)[0]
         served = talk(sock, trace_requests, len(trace_requests))
         stats = talk(sock, [{"op": "stats"}], 1)[0]
+        # After the stats snapshot, so its counters cover the trace only.
+        mistyped = dict(trace_requests[0], id="typo", beta="x")
+        after_typo = talk(
+            sock, [mistyped, trace_requests[0], {"op": "ping"}], 3
+        )
         down = talk(sock, [{"op": "shutdown"}], 1)[0]
         code = proc.wait(timeout=60)
         out, err = proc.communicate(timeout=10)
@@ -148,6 +156,15 @@ def main() -> int:
             f"every request served ok ({len(served)} responses)",
             len(served) == len(trace_requests)
             and all(r.get("status") == "ok" for r in served),
+        )
+        by_key = {r.get("id") or r.get("op"): r for r in after_typo}
+        ok &= check(
+            "mistyped field answered invalid; the connection lives on",
+            by_key.get("typo", {}).get("status") == "invalid"
+            and "field 'beta'" in by_key["typo"].get("error", "")
+            and by_key.get(trace_requests[0]["id"], {}).get("status")
+            == "ok"
+            and by_key.get("ping", {}).get("status") == "ok",
         )
         ok &= check(
             "stats account for every request "

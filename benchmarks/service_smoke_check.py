@@ -11,7 +11,10 @@ CLI entry point rather than in-process calls:
    were cache hits) and that its output records are byte-identical to
    the first run's once the ``_serve`` observability side channel is
    stripped — the serving analogue of the sweep engine's ``_meta``
-   exclusion.
+   exclusion;
+4. run ``repro-mpc batch`` as a subprocess on a stream with one
+   mistyped field and assert a structured failure: exit 2 and an
+   ``error:`` line, no traceback.
 
 Exit code 0 on success, 1 on any violation.  Usage::
 
@@ -21,6 +24,8 @@ Exit code 0 on success, 1 on any violation.  Usage::
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +33,8 @@ from typing import List
 
 from repro.cli import main as cli_main
 from repro.core.registry import DET_LUBY, DET_MATCHING, DET_RULING
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def requests() -> List[dict]:
@@ -55,6 +62,23 @@ def deterministic_records(path: Path) -> List[dict]:
 def check(message: str, ok: bool) -> bool:
     print(("  OK  " if ok else "  FAIL") + f" {message}")
     return ok
+
+
+def batch_subprocess(request_path: Path, out: Path):
+    """``repro-mpc batch`` in a fresh interpreter; its exit code and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "batch",
+            "--requests", str(request_path), "--out", str(out),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stderr
 
 
 def main() -> int:
@@ -104,6 +128,19 @@ def main() -> int:
             deterministic_records(outs[0]) == deterministic_records(outs[1]),
         )
         ok &= check("no failure records", summaries[0]["failed"] == 0)
+
+        mistyped_path = base / "mistyped.jsonl"
+        mistyped_path.write_text("\n".join(
+            json.dumps(dict(r, beta="x") if r["id"] == "r3" else r)
+            for r in requests()
+        ) + "\n")
+        code, err = batch_subprocess(mistyped_path, base / "mistyped.out")
+        ok &= check(
+            f"mistyped field: exit {code}, structured error, no traceback",
+            code == 2
+            and any(line.startswith("error:") for line in err.splitlines())
+            and "Traceback" not in err,
+        )
         if not ok:
             return 1
     print("service smoke check passed")

@@ -10,18 +10,21 @@ a single-process, cycle-accurate simulator of the MPC model.
   counter.  Both enforce the model's budgets — exceeding per-machine memory
   or per-round I/O raises :class:`repro.errors.MPCViolationError` rather
   than silently continuing, so a completed run certifies model compliance.
-* :class:`RunMetrics` records rounds, words, message counts, and peak
-  memory — the paper's quantities — plus per-round / per-phase
-  wall-clock so simulator performance work is measurable.
+* The simulator emits one :class:`~repro.mpc.metrics.SuperstepEvent` per
+  superstep and per phase mark.  :class:`RunMetrics` folds that stream
+  into rounds, words, message counts, and peak memory — the paper's
+  quantities — plus per-phase wall-clock whose superstep clock includes
+  the memory audit, so simulator performance work is measurable.
 * :mod:`repro.mpc.backends` supplies pluggable superstep execution:
   :class:`SerialBackend` (default, every machine resident) and the
   out-of-core ``ShardBackend`` (:mod:`repro.mpc.shard`), with identical
   results.  Each backend routes its own exchange and prices its own
   machines' memory.
-* :class:`TraceRecorder` (opt-in via ``MPCConfig.trace``) captures
-  per-superstep, per-machine observability events — words, memory
-  high-water, budget headroom vs ``S`` — with JSONL and Chrome-trace
-  export plus a budget auditor that warns before the hard fault.
+* :class:`TraceRecorder` (opt-in via ``MPCConfig.trace``) folds the same
+  events into per-superstep, per-machine observability records — words,
+  memory high-water, budget headroom vs ``S`` — with JSONL and
+  Chrome-trace export plus a budget auditor that warns before the hard
+  fault.  The load governor (:mod:`repro.mpc.governor`) folds them too.
 """
 
 from repro.mpc.backends import (

@@ -85,8 +85,7 @@ class MPCConfig:
     per-round budget utilization.  Execution strategy under the
     DESIGN.md section 15 contract — results (members, error texts) never
     change, and at feasible sizes (no throttling needed) the whole run
-    is bit-identical to an ungoverned one.  ``governor_target_percent``
-    is the per-round budget fraction planners aim at.
+    is bit-identical to an ungoverned one.
     """
 
     num_machines: int
@@ -99,7 +98,6 @@ class MPCConfig:
     trace_warn_utilization: float = 0.9
     kernel: Optional[str] = None
     governed: bool = False
-    governor_target_percent: int = 50
 
     def __post_init__(self) -> None:
         if self.num_machines < 1:
@@ -118,11 +116,6 @@ class MPCConfig:
             raise MPCConfigError(
                 "trace_warn_utilization must lie in (0, 1], got "
                 f"{self.trace_warn_utilization}"
-            )
-        if not 1 <= self.governor_target_percent <= 100:
-            raise MPCConfigError(
-                "governor_target_percent must lie in [1, 100], got "
-                f"{self.governor_target_percent}"
             )
         if self.kernel is not None:
             from repro.mpc.state_layout import KERNELS
@@ -161,21 +154,11 @@ class MPCConfig:
             ),
         )
 
-    def with_governor(
-        self, enabled: bool = True, target_percent: Optional[int] = None
-    ) -> "MPCConfig":
+    def with_governor(self, enabled: bool = True) -> "MPCConfig":
         """Copy of this config with the load governor toggled."""
         from dataclasses import replace
 
-        return replace(
-            self,
-            governed=enabled,
-            governor_target_percent=(
-                self.governor_target_percent
-                if target_percent is None
-                else target_percent
-            ),
-        )
+        return replace(self, governed=enabled)
 
     @property
     def total_memory(self) -> int:

@@ -3,9 +3,9 @@
 ROADMAP item 5: the related repo's fixed sampling rate violated the
 per-round communication cap by ~500x on dense graphs until it was
 throttled against a peak-hold ball-size estimate.  This module is our
-analogue.  A :class:`LoadGovernor` watches the same per-round
-words/memory signals the PR 2 trace layer records and answers three
-questions for the execution layer:
+analogue.  A :class:`LoadGovernor` watches the per-round words and
+per-machine memory of every superstep and answers three questions for
+the execution layer:
 
 * how large may the shard backend's spool-flush chunks be right now
   (:meth:`LoadGovernor.scale_chunk`),
@@ -37,34 +37,38 @@ make that composable:
   fault the budget ungoverned diverges — by completing in more,
   smaller rounds.
 
-The governor is **fed by the simulator**, not by the trace: the
-simulator reports the identical quantities to both, so tracing stays a
-pure observer.  :meth:`LoadGovernor.feed_trace` additionally lets a
-governor be primed offline from a recorded :class:`TraceRecorder` —
-e.g. to warm a serve daemon from a previous run's trace — without ever
-closing a feedback loop through a live recorder.
+The governor is **fed by the simulator**, not by the trace: it folds
+the same :class:`~repro.mpc.metrics.SuperstepEvent` stream as the
+metrics and the trace (:meth:`LoadGovernor.observe`) and reads only its
+model quantities, so tracing stays a pure observer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import MPCConfigError
+from repro.mpc.metrics import SuperstepEvent
 
-__all__ = ["GovernorPolicy", "LoadGovernor", "PeakHold"]
+__all__ = ["LoadGovernor", "PeakHold"]
+
+#: Planners aim at this fraction of the budget ``S``; the margin below it
+#: absorbs the traffic a conservative bound cannot see (request-round
+#: overhead, skewed responder fan-out).
+TARGET_NUM, TARGET_DEN = 1, 2
+
+#: The hard minimums throttling may reach: past them the model-honest
+#: behaviour is to fault, not to subdivide further.
+CHUNK_FLOOR = 32
+WINDOW_FLOOR = 1
 
 
 class PeakHold:
-    """Peak-hold of a non-negative word signal, with optional decay.
+    """Strict peak-hold of a non-negative word signal.
 
-    The estimator only moves up instantly: any observation at least as
-    large as the held peak replaces it.  Between such observations the
-    peak decays multiplicatively by ``decay_num / decay_den`` per
-    observation (default 1/1 = strict peak hold, the related repo's
-    ball-size estimator).  Integer arithmetic throughout: the held value
-    is a deterministic function of the observation sequence on every
-    platform.
+    Any observation at least as large as the held peak replaces it (the
+    related repo's ball-size estimator).  Integer arithmetic: the held
+    value is a deterministic function of the observation sequence.
 
     >>> ph = PeakHold()
     >>> for words in (10, 80, 30):
@@ -73,134 +77,52 @@ class PeakHold:
     80
     """
 
-    __slots__ = ("peak", "observations", "decay_num", "decay_den")
+    __slots__ = ("peak", "observations")
 
-    def __init__(self, decay_num: int = 1, decay_den: int = 1):
-        if decay_den <= 0 or not 0 < decay_num <= decay_den:
-            raise MPCConfigError(
-                "peak-hold decay must satisfy 0 < num <= den, got "
-                f"{decay_num}/{decay_den}"
-            )
+    def __init__(self) -> None:
         self.peak = 0
         self.observations = 0
-        self.decay_num = decay_num
-        self.decay_den = decay_den
 
     def observe(self, value: int) -> None:
         """Fold one observation (negative values clamp to zero)."""
-        value = max(0, int(value))
-        decayed = self.peak * self.decay_num // self.decay_den
-        self.peak = max(value, decayed)
+        self.peak = max(self.peak, int(value))
         self.observations += 1
-
-
-@dataclass(frozen=True)
-class GovernorPolicy:
-    """Tuning knobs for a :class:`LoadGovernor` (all deterministic).
-
-    ``target_num / target_den`` is the fraction of the budget ``S`` a
-    planner aims at — the margin below it absorbs the traffic a
-    conservative bound cannot see (request-round overhead, skewed
-    responder fan-out).  ``chunk_floor`` and ``window_floor`` are the
-    hard minimums throttling may reach; past them the model-honest
-    behaviour is to fault, not to subdivide further.  ``decay_num /
-    decay_den`` is the per-observation peak decay (1/1 = strict hold).
-    """
-
-    target_num: int = 1
-    target_den: int = 2
-    chunk_floor: int = 32
-    window_floor: int = 1
-    decay_num: int = 1
-    decay_den: int = 1
-
-    def __post_init__(self) -> None:
-        if self.target_den <= 0 or not 0 < self.target_num <= self.target_den:
-            raise MPCConfigError(
-                "governor target must satisfy 0 < num <= den, got "
-                f"{self.target_num}/{self.target_den}"
-            )
-        if self.chunk_floor < 1:
-            raise MPCConfigError(
-                f"chunk_floor must be >= 1, got {self.chunk_floor}"
-            )
-        if self.window_floor < 1:
-            raise MPCConfigError(
-                f"window_floor must be >= 1, got {self.window_floor}"
-            )
-        if self.decay_den <= 0 or not 0 < self.decay_num <= self.decay_den:
-            raise MPCConfigError(
-                "governor decay must satisfy 0 < num <= den, got "
-                f"{self.decay_num}/{self.decay_den}"
-            )
 
 
 class LoadGovernor:
     """Peak-hold load estimator + deterministic throttle planner.
 
     One governor instance per run, scoped to a budget ``S``
-    (``budget_words``).  The simulator feeds it every communication
-    round (:meth:`observe_round`) and every memory audit
-    (:meth:`observe_memory`); consumers query it between supersteps.
-    All queries are pure functions of the feed history, so two runs
-    with identical model behaviour make identical throttling decisions.
+    (``budget_words``).  The simulator feeds it every superstep event
+    (:meth:`observe`); consumers query it between supersteps.  All
+    queries are pure functions of the feed history, so two runs with
+    identical model behaviour make identical throttling decisions.
     """
 
-    def __init__(
-        self, budget_words: int, policy: Optional[GovernorPolicy] = None
-    ):
+    def __init__(self, budget_words: int):
         if budget_words < 1:
             raise MPCConfigError(
                 f"budget_words must be >= 1, got {budget_words}"
             )
         self.budget_words = budget_words
-        self.policy = policy if policy is not None else GovernorPolicy()
-        self._round_peak = PeakHold(
-            self.policy.decay_num, self.policy.decay_den
-        )
-        self._memory_peak = PeakHold(
-            self.policy.decay_num, self.policy.decay_den
-        )
+        self._round_peak = PeakHold()
+        self._memory_peak = PeakHold()
         self._chunk_scalings = 0
         self._batched_steps = 0
         self._planned_steps = 0
 
-    # -- feeding --------------------------------------------------------
-    def observe_round(
-        self, *, words: int, max_sent: int, max_received: int
-    ) -> None:
-        """Fold one communication round's traffic (model words)."""
-        del words  # totals are reported for symmetry; peaks drive decisions
-        self._round_peak.observe(max(max_sent, max_received))
-
-    def observe_memory(self, words: int) -> None:
-        """Fold one machine's post-superstep residency."""
-        self._memory_peak.observe(words)
-
-    def feed_trace(self, recorder: Any) -> None:
-        """Prime the estimator from a recorded trace (offline feeding).
-
-        Replays a :class:`~repro.mpc.trace.TraceRecorder`'s round events
-        and machine memory peaks into the peak-hold state.  This is the
-        sanctioned trace/governor coupling: the trace stays a pure
-        observer during a run; a *finished* trace may seed the next
-        run's governor.
-        """
-        for event in recorder.round_events():
-            self.observe_round(
-                words=event["words"],
-                max_sent=event["max_sent"],
-                max_received=event["max_received"],
-            )
-        for words in recorder.machine_peak_words.values():
-            self.observe_memory(words)
+    def observe(self, event: SuperstepEvent) -> None:
+        """Fold one simulator event: round traffic and machine residency."""
+        if event.kind == "round":
+            self._round_peak.observe(max(event.max_sent, event.max_received))
+        if event.memory:
+            self._memory_peak.observe(max(event.memory))
 
     # -- queries --------------------------------------------------------
     @property
     def target_words(self) -> int:
         """The per-round word level planners aim at (a fraction of S)."""
-        policy = self.policy
-        return max(1, self.budget_words * policy.target_num // policy.target_den)
+        return max(1, self.budget_words * TARGET_NUM // TARGET_DEN)
 
     def peak_round_words(self) -> int:
         """Peak-hold of per-round ``max(max_sent, max_received)``."""
@@ -219,7 +141,7 @@ class LoadGovernor:
 
         Returns ``base`` until the first round is observed, then shrinks
         proportionally to the remaining budget headroom, never below
-        ``chunk_floor`` (or ``base`` itself when smaller).  Driver
+        :data:`CHUNK_FLOOR` (or ``base`` itself when smaller).  Driver
         memory only — chunk size never appears in any model quantity, so
         this is always safe to adapt.
         """
@@ -227,7 +149,7 @@ class LoadGovernor:
             raise MPCConfigError(f"chunk base must be >= 1, got {base}")
         if self._round_peak.observations == 0:
             return base
-        floor = min(base, self.policy.chunk_floor)
+        floor = min(base, CHUNK_FLOOR)
         scaled = base * self.headroom_words() // self.budget_words
         scaled = max(floor, min(base, scaled))
         if scaled != base:
@@ -249,7 +171,7 @@ class LoadGovernor:
         when every machine's full-window load fits :attr:`target_words`;
         otherwise the largest halving of ``num_vertices`` whose worst
         per-machine per-window load fits, floored at
-        ``policy.window_floor``.  Windows are contiguous global-id
+        :data:`WINDOW_FLOOR`.  Windows are contiguous global-id
         ranges, matching ``repro.core.exponentiation._batch_windows``,
         so the plan is a pure function of (sizes, owners, budget).
         """
@@ -260,12 +182,11 @@ class LoadGovernor:
         if self._fits(num_vertices, num_vertices, per_vertex_words, owner_of, target):
             return None
         batch = num_vertices // 2
-        floor = self.policy.window_floor
-        while batch > floor and not self._fits(
+        while batch > WINDOW_FLOOR and not self._fits(
             num_vertices, batch, per_vertex_words, owner_of, target
         ):
             batch //= 2
-        batch = max(floor, batch)
+        batch = max(WINDOW_FLOOR, batch)
         self._batched_steps += 1
         return batch
 

@@ -21,35 +21,13 @@ _SCALARS = frozenset((int, bool, float))
 _TUPLE_ONLY = frozenset((tuple,))
 
 
-class Costed:
-    """An opaque value with an explicitly declared word cost.
-
-    Used by adapters (e.g. the LOCAL→MPC bridge) that must store state
-    objects the accountant cannot introspect: the adapter *declares* the
-    cost, making the charge explicit and auditable instead of silently
-    zero.
-
-    >>> words_of(Costed("anything", words=7))
-    7
-    """
-
-    __slots__ = ("value", "words")
-
-    def __init__(self, value: Any, words: int):
-        if words < 0:
-            raise ValueError("declared word cost must be non-negative")
-        self.value = value
-        self.words = words
-
-
 def words_of(obj: Any) -> int:
     """Return the size of ``obj`` in machine words.
 
     Ints (arbitrary precision, by design — ids and counters) cost 1 word;
     containers cost the sum of their contents (dicts: keys + values);
     ``None`` costs 0 (absence of a value); strings cost one word per 8
-    characters (they appear only in phase labels, never in hot state);
-    :class:`Costed` wrappers cost their declared amount.
+    characters (they appear only in phase labels, never in hot state).
 
     The accountant runs after *every* superstep over every machine's full
     state, which makes it the simulator's hottest loop on seed-search
@@ -113,8 +91,6 @@ def words_of(obj: Any) -> int:
         return total
     if obj is None:
         return 0
-    if t is Costed:
-        return obj.words
     if t is bool or t is float:
         return 1
     if t is str:
@@ -124,8 +100,6 @@ def words_of(obj: Any) -> int:
 
 def _words_of_slow(obj: Any) -> int:
     """Subclass-tolerant fallback for :func:`words_of` (cold path)."""
-    if isinstance(obj, Costed):
-        return obj.words
     if isinstance(obj, (bool, int, float)):
         return 1
     if isinstance(obj, str):

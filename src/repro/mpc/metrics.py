@@ -2,34 +2,59 @@
 
 A theory paper's "cost" of an MPC algorithm is its round count, with
 per-round communication and per-machine memory as side constraints.  The
-simulator therefore records:
+simulator emits one :class:`SuperstepEvent` per superstep and one per
+phase mark; :class:`RunMetrics` folds that stream into:
 
 * ``rounds`` — number of communication supersteps;
 * ``total_messages`` / ``total_words`` — global communication volume;
 * ``max_words_sent`` / ``max_words_received`` — worst per-machine,
   per-round I/O observed (must stay ≤ S; the simulator enforces it);
 * ``peak_memory_words`` — worst per-machine residency observed;
-* ``words_per_round`` — the per-round communication series (sums to
-  ``total_words``; the trace layer's per-round events are cross-checked
-  against it);
 * ``phases`` — named round ranges, so benches can attribute rounds to
   algorithm stages (sparsify vs gather vs cleanup, seed search vs commit).
 
-Alongside the model quantities the accumulator keeps **wall-clock
-timing**: ``time_per_round`` (seconds per communication superstep,
-including the callback execution that produced its messages) and
-``time_per_phase`` (seconds attributed to the phase active when the
-work ran, local steps included).  Wall-clock measures the *simulator*,
-not a cluster — it exists so performance work on the simulator's hot
-paths (estimator caching, execution backends) is measured rather than
-asserted.  Timing never feeds back into any algorithmic decision, so
-runs stay bit-for-bit deterministic in members/rounds/words.
+The trace and the load governor fold the same events.
+
+Alongside the model quantities the fold keeps **wall-clock timing**:
+``wall_time_s`` and ``time_per_phase`` (seconds attributed to the phase
+active when the work ran).  A superstep's clock runs from its callbacks
+through routing and the memory audit that prices every machine
+afterwards, so the reported time covers the whole superstep.  Wall-clock
+measures the *simulator*, not a cluster — it exists so performance work
+on the simulator's hot paths is measured rather than asserted.  Timing
+never feeds back into any algorithmic decision, so runs stay
+bit-for-bit deterministic in members/rounds/words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
+
+
+@dataclass(frozen=True)
+class SuperstepEvent:
+    """A superstep (``kind`` ``"local"`` / ``"round"``) or phase mark.
+
+    ``round`` counts the rounds completed, so a round event carries its
+    own 1-based index; ``phase`` is the active (or opened) phase.
+    ``memory`` lists each machine's words after the superstep, in id
+    order.  ``sent_per_machine`` and ``backend_stats`` are filled only
+    when a trace is attached.
+    """
+
+    kind: str
+    round: int
+    phase: str
+    elapsed_s: float = 0.0
+    memory: Sequence[int] = ()
+    messages: int = 0
+    words: int = 0
+    max_sent: int = 0
+    max_received: int = 0
+    sent_per_machine: Optional[Sequence[int]] = None
+    received_per_machine: Sequence[int] = ()
+    backend_stats: Optional[Dict[str, int]] = None
 
 
 @dataclass
@@ -52,52 +77,34 @@ class RunMetrics:
     peak_memory_words: int = 0
     phases: List[PhaseMark] = field(default_factory=list)
     wall_time_s: float = 0.0
-    time_per_round: List[float] = field(default_factory=list)
     time_per_phase: Dict[str, float] = field(default_factory=dict)
-    words_per_round: List[int] = field(default_factory=list)
 
     UNPHASED = "(unphased)"
-
-    def begin_phase(self, name: str) -> None:
-        """Mark the start of a named phase at the current round."""
-        self.phases.append(PhaseMark(name=name, start_round=self.rounds))
 
     def current_phase(self) -> str:
         """Name of the phase subsequent work is attributed to."""
         return self.phases[-1].name if self.phases else self.UNPHASED
 
-    def record_round(
-        self,
-        messages: int,
-        words: int,
-        max_sent: int,
-        max_received: int,
-    ) -> None:
-        """Record one communication superstep."""
-        self.rounds += 1
-        self.total_messages += messages
-        self.total_words += words
-        self.max_words_sent = max(self.max_words_sent, max_sent)
-        self.max_words_received = max(self.max_words_received, max_received)
-        self.words_per_round.append(words)
-
-    def record_elapsed(self, seconds: float, is_round: bool = False) -> None:
-        """Attribute ``seconds`` of wall clock to the current phase.
-
-        ``is_round`` additionally appends to ``time_per_round`` (called
-        once per communication superstep, after ``record_round``).
-        """
-        self.wall_time_s += seconds
-        phase = self.current_phase()
-        self.time_per_phase[phase] = (
-            self.time_per_phase.get(phase, 0.0) + seconds
+    def observe(self, event: SuperstepEvent) -> None:
+        """Fold one simulator event into the run's totals."""
+        if event.kind == "phase":
+            self.phases.append(PhaseMark(event.phase, event.round))
+            return
+        if event.kind == "round":
+            self.rounds += 1
+            self.total_messages += event.messages
+            self.total_words += event.words
+            self.max_words_sent = max(self.max_words_sent, event.max_sent)
+            self.max_words_received = max(
+                self.max_words_received, event.max_received
+            )
+        self.peak_memory_words = max(
+            self.peak_memory_words, max(event.memory, default=0)
         )
-        if is_round:
-            self.time_per_round.append(seconds)
-
-    def record_memory(self, words: int) -> None:
-        """Record an observed per-machine memory footprint."""
-        self.peak_memory_words = max(self.peak_memory_words, words)
+        self.wall_time_s += event.elapsed_s
+        self.time_per_phase[event.phase] = (
+            self.time_per_phase.get(event.phase, 0.0) + event.elapsed_s
+        )
 
     def phase_rounds(self) -> Dict[str, int]:
         """Rounds spent in each phase (later marks close earlier ones).
@@ -122,7 +129,8 @@ class RunMetrics:
 
         Wall-clock is deliberately excluded: the summary participates in
         determinism assertions (identical runs must compare equal), which
-        timing would break.  Use :meth:`timing_summary` for wall-clock.
+        timing would break.  Timing lives in ``wall_time_s`` and
+        ``time_per_phase``.
         """
         return {
             "rounds": self.rounds,
@@ -132,14 +140,3 @@ class RunMetrics:
             "max_words_received": self.max_words_received,
             "peak_memory_words": self.peak_memory_words,
         }
-
-    def timing_summary(self) -> Dict[str, float]:
-        """Wall-clock totals: overall seconds plus per-phase seconds.
-
-        Per-phase keys are prefixed ``time_`` so the dict can be merged
-        into a flat record without colliding with round counts.
-        """
-        out: Dict[str, float] = {"wall_time_s": round(self.wall_time_s, 6)}
-        for phase, seconds in self.time_per_phase.items():
-            out[f"time_{phase}"] = round(seconds, 6)
-        return out

@@ -1,14 +1,12 @@
 """One-round keyed redistribution (the MapReduce shuffle).
 
 ``shuffle(sim, items_fn)`` runs ``items_fn`` on each machine to produce
-messages, routes them, and leaves payloads in each machine's inbox.  The
-helpers turn inboxes into grouped dictionaries, the form every
-vertex-centric step consumes.
+messages, routes them, and leaves payloads in each machine's inbox.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Iterable
 
 from repro.mpc.machine import Machine
 from repro.mpc.message import Message
@@ -20,21 +18,3 @@ def shuffle(
 ) -> None:
     """Route the messages produced by ``items_fn``; costs one round."""
     sim.communicate(items_fn)
-
-
-def inbox_grouped_by_first(
-    machine: Machine, clear: bool = True
-) -> Dict[int, List[Tuple[int, ...]]]:
-    """Group inbox payloads by their first word (usually a vertex id).
-
-    Payload ``(v, rest...)`` lands under key ``v`` as ``(rest...)``.
-    Groups and group members are sorted so iteration is deterministic.
-    """
-    groups: Dict[int, List[Tuple[int, ...]]] = {}
-    for payload in machine.inbox:
-        groups.setdefault(payload[0], []).append(tuple(payload[1:]))
-    if clear:
-        machine.clear_inbox()
-    for key in groups:
-        groups[key].sort()
-    return dict(sorted(groups.items()))

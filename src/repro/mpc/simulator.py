@@ -12,7 +12,7 @@ An algorithm drives the simulator through two verbs:
     messages, enforce the per-machine send/receive budget ``S``, deliver
     inboxes, and advance the round counter.
 
-Both verbs then audit every machine's memory against ``S``.
+Both verbs then price every machine's memory and audit it against ``S``.
 
 Determinism: machines are processed in id order and each inbox is sorted by
 ``(sender id, arrival index)``, so a simulated run is a pure function of
@@ -22,12 +22,13 @@ A superstep is *executed* by a pluggable
 :class:`~repro.mpc.backends.SuperstepBackend` (serial by default; the
 shard backend runs out-of-core).  The backend runs the callbacks, routes
 the exchange and prices each machine's memory; every backend yields the
-identical run.  The simulator observes what the backend reports from
-one place per round (:meth:`Simulator.communicate`) and one per memory
-audit (``_check_memory``): :class:`~repro.mpc.metrics.RunMetrics`, the
-trace and the load governor are fed there, per machine in id order.
-Each superstep's wall-clock is recorded per round and per phase, so
-simulator performance is measured, never asserted.
+identical run.  Both verbs share one tail: price the machines, stop the
+clock, build one :class:`~repro.mpc.metrics.SuperstepEvent`, hand it to
+every attached sink (:class:`~repro.mpc.metrics.RunMetrics`, the trace,
+the load governor), then enforce ``S``.  :meth:`Simulator.begin_phase`
+emits a phase event through the same path.  A superstep's clock
+therefore covers the memory audit, so simulator performance is measured,
+never asserted.
 
 Budget enforcement is strict by default: a machine exceeding its memory
 budget, or sending/receiving more than ``S`` words in one superstep, aborts
@@ -36,12 +37,11 @@ strict, certifying that measured round counts come from model-legal
 executions.
 
 When tracing is enabled (``MPCConfig.trace`` or an injected
-:class:`~repro.mpc.trace.TraceRecorder`), each superstep additionally
-emits a structured event — per-machine words sent/received, memory
-high-water, budget headroom, active phase, backend counters — and the
-budget auditor warns when utilization crosses the configured fraction of
-``S`` *before* the hard fault would fire.  Tracing is a pure observer:
-every hook is gated on ``self.trace is not None`` (zero cost when
+:class:`~repro.mpc.trace.TraceRecorder`), events additionally carry
+per-machine words sent and the backend's counters, and the budget
+auditor warns when utilization crosses the configured fraction of ``S``
+*before* the hard fault would fire.  Tracing is a pure observer: those
+extras are gathered only when a trace is attached (zero cost when
 disabled) and nothing recorded ever feeds back into routing,
 enforcement, or algorithm state, so traced runs stay bit-identical.
 """
@@ -53,12 +53,12 @@ import time
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.errors import MPCViolationError
-from repro.mpc.backends import SuperstepBackend, resolve_backend
+from repro.mpc.backends import ExchangeStats, SuperstepBackend, resolve_backend
 from repro.mpc.config import MPCConfig
-from repro.mpc.governor import GovernorPolicy, LoadGovernor
+from repro.mpc.governor import LoadGovernor
 from repro.mpc.machine import Machine
 from repro.mpc.message import Message
-from repro.mpc.metrics import RunMetrics
+from repro.mpc.metrics import RunMetrics, SuperstepEvent
 from repro.mpc.trace import TraceRecorder
 
 MachineFn = Callable[[Machine], Optional[Iterable[Message]]]
@@ -122,13 +122,7 @@ class Simulator:
         elif config.governed or os.environ.get(GOVERNED_ENV, "") not in (
             "", "0", "false",
         ):
-            self.governor = LoadGovernor(
-                config.memory_words,
-                GovernorPolicy(
-                    target_num=config.governor_target_percent,
-                    target_den=100,
-                ),
-            )
+            self.governor = LoadGovernor(config.memory_words)
         else:
             self.governor = None
         if self.governor is not None:
@@ -143,16 +137,7 @@ class Simulator:
         """Apply a local computation to every machine (no round cost)."""
         started = time.perf_counter()
         self.backend.run_local(self.machines, fn)
-        elapsed = time.perf_counter() - started
-        self.metrics.record_elapsed(elapsed)
-        if self.trace is not None:
-            self.trace.record_local(
-                round_index=self.metrics.rounds,
-                phase=self.metrics.current_phase(),
-                elapsed_s=elapsed,
-                backend_stats=self.backend.stats(),
-            )
-        self._check_memory()
+        self._finish_superstep(started)
 
     def communicate(self, fn: MachineFn) -> None:
         """One communication superstep.
@@ -170,45 +155,14 @@ class Simulator:
             enforce=self.enforce,
             want_sent_per_machine=self.trace is not None,
         )
-        self.metrics.record_round(
-            messages=stats.total_messages,
-            words=stats.total_words,
-            max_sent=stats.max_sent,
-            max_received=stats.max_received,
-        )
-        if self.governor is not None:
-            # Same model quantities the trace records — wall clock
-            # never reaches the governor.
-            self.governor.observe_round(
-                words=stats.total_words,
-                max_sent=stats.max_sent,
-                max_received=stats.max_received,
-            )
-        elapsed = time.perf_counter() - started
-        self.metrics.record_elapsed(elapsed, is_round=True)
-        if self.trace is not None:
-            self.trace.record_round(
-                round_index=self.metrics.rounds,
-                phase=self.metrics.current_phase(),
-                elapsed_s=elapsed,
-                messages=stats.total_messages,
-                words=stats.total_words,
-                max_sent=stats.max_sent,
-                max_received=stats.max_received,
-                sent_per_machine=stats.sent_per_machine,
-                received_per_machine=stats.received_per_machine,
-                backend_stats=self.backend.stats(),
-            )
-        self._check_memory()
+        self._finish_superstep(started, stats)
 
     # ------------------------------------------------------------------
     # Conveniences
     # ------------------------------------------------------------------
     def begin_phase(self, name: str) -> None:
         """Label subsequent rounds with a phase name (for metrics)."""
-        self.metrics.begin_phase(name)
-        if self.trace is not None:
-            self.trace.record_phase(name, self.metrics.rounds)
+        self._emit(SuperstepEvent("phase", self.metrics.rounds, name))
 
     def machine(self, mid: int) -> Machine:
         """Return machine ``mid``.
@@ -254,16 +208,50 @@ class Simulator:
     # ------------------------------------------------------------------
     # Internal
     # ------------------------------------------------------------------
-    def _check_memory(self) -> None:
-        snapshot = self.backend.memory_snapshot(self.machines)
-        for mid, words in enumerate(snapshot):
-            self.metrics.record_memory(words)
-            if self.trace is not None:
-                self.trace.record_memory(mid, words, self.metrics.rounds)
-            if self.governor is not None:
-                self.governor.observe_memory(words)
-            if self.enforce and words > self.config.memory_words:
-                raise MPCViolationError(
-                    f"machine {mid} holds {words} words, budget "
-                    f"S={self.config.memory_words}"
-                )
+    def _finish_superstep(
+        self, started: float, stats: Optional[ExchangeStats] = None
+    ) -> None:
+        """Price the machines, stop the clock, emit the event, enforce S.
+
+        ``stats`` is the exchange of a communication superstep (None for
+        a local one).
+        """
+        memory = self.backend.memory_snapshot(self.machines)
+        elapsed = time.perf_counter() - started
+        backend_stats = (
+            self.backend.stats() if self.trace is not None else None
+        )
+        rounds = self.metrics.rounds
+        phase = self.metrics.current_phase()
+        if stats is None:
+            event = SuperstepEvent(
+                "local", rounds, phase, elapsed, memory,
+                backend_stats=backend_stats,
+            )
+        else:
+            event = SuperstepEvent(
+                "round", rounds + 1, phase, elapsed, memory,
+                messages=stats.total_messages,
+                words=stats.total_words,
+                max_sent=stats.max_sent,
+                max_received=stats.max_received,
+                sent_per_machine=stats.sent_per_machine,
+                received_per_machine=stats.received_per_machine,
+                backend_stats=backend_stats,
+            )
+        self._emit(event)
+        if self.enforce:
+            for mid, words in enumerate(memory):
+                if words > self.config.memory_words:
+                    raise MPCViolationError(
+                        f"machine {mid} holds {words} words, budget "
+                        f"S={self.config.memory_words}"
+                    )
+
+    def _emit(self, event: SuperstepEvent) -> None:
+        """Hand one event to every attached sink (the only feed)."""
+        self.metrics.observe(event)
+        if self.trace is not None:
+            self.trace.observe(event)
+        if self.governor is not None:
+            self.governor.observe(event)

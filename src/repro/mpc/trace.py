@@ -2,11 +2,13 @@
 
 The paper's claims are round/communication/memory claims, which makes
 the simulator a measurement instrument — and :class:`RunMetrics` only
-reports end-of-run aggregates.  :class:`TraceRecorder` captures *where
-inside a run* the budget pressure and wall-clock go: one structured
-event per superstep (local and communication), per-machine send/receive
-words, per-machine memory high-water marks, and the execution backend's
-chunk/fallback counters, all labelled with the active phase.
+reports end-of-run aggregates.  :class:`TraceRecorder` folds the same
+:class:`~repro.mpc.metrics.SuperstepEvent` stream as the metrics and
+keeps *where inside a run* the budget pressure and wall-clock go: one
+record per superstep (local and communication) whose duration covers
+its memory audit, per-machine send/receive words, per-machine memory
+high-water marks, and the execution backend's chunk/fallback counters,
+all labelled with the active phase.
 
 Two exports ship:
 
@@ -38,7 +40,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
+
+from repro.mpc.metrics import SuperstepEvent
 
 SCHEMA_VERSION = 1
 
@@ -57,8 +61,8 @@ _MIN_DURATION_US = 0.001
 class TraceRecorder:
     """Collects structured per-superstep events for one simulator run.
 
-    The simulator calls the ``record_*`` hooks; everything else is
-    read-side (export / inspection).  ``config`` is the run's
+    The simulator feeds :meth:`observe`; everything else is read-side
+    (export / inspection).  ``config`` is the run's
     :class:`~repro.mpc.config.MPCConfig` (only ``memory_words``,
     ``num_machines``, and ``backend`` are read).
 
@@ -96,88 +100,56 @@ class TraceRecorder:
         self._warned: set = set()  # (kind, machine, round) dedup
 
     # ------------------------------------------------------------------
-    # Hooks (called by the simulator; order defines the trace clock)
+    # The simulator's feed (event order defines the trace clock)
     # ------------------------------------------------------------------
-    def record_phase(self, name: str, round_index: int) -> None:
-        """Mark the start of a named phase (instant event)."""
-        self.events.append(
-            {
-                "type": "phase",
-                "phase": name,
-                "round": round_index,
-                "ts_us": self._clock_us,
-                "dur_us": 0.0,
-            }
-        )
-
-    def record_local(
-        self,
-        *,
-        round_index: int,
-        phase: str,
-        elapsed_s: float,
-        backend_stats: Dict[str, int],
-    ) -> None:
-        """Record one local superstep (no round consumed)."""
-        self.events.append(
-            {
-                "type": "local",
-                "phase": phase,
-                "round": round_index,
-                **self._advance(elapsed_s),
-                "backend": dict(backend_stats),
-            }
-        )
-
-    def record_round(
-        self,
-        *,
-        round_index: int,
-        phase: str,
-        elapsed_s: float,
-        messages: int,
-        words: int,
-        max_sent: int,
-        max_received: int,
-        sent_per_machine: Sequence[int],
-        received_per_machine: Sequence[int],
-        backend_stats: Dict[str, int],
-    ) -> None:
-        """Record one communication superstep and audit its budgets."""
-        budget = self.config.memory_words
-        # Headroom is clamped at zero: a round past budget (possible
-        # when the simulator runs with enforcement off, e.g. trace-only
-        # probes) is *flagged* with its overshoot rather than silently
-        # reported as negative headroom no auditor ever warns on.
-        raw_headroom = budget - max(max_sent, max_received)
-        event = {
-            "type": "round",
-            "phase": phase,
-            "round": round_index,
-            **self._advance(elapsed_s),
-            "messages": messages,
-            "words": words,
-            "max_sent": max_sent,
-            "max_received": max_received,
-            "headroom_words": max(0, raw_headroom),
-            "sent_per_machine": list(sent_per_machine),
-            "received_per_machine": list(received_per_machine),
-            "backend": dict(backend_stats),
+    def observe(self, event: SuperstepEvent) -> None:
+        """Record one simulator event and audit its budgets."""
+        if event.kind == "phase":
+            self.events.append(
+                {
+                    "type": "phase",
+                    "phase": event.phase,
+                    "round": event.round,
+                    "ts_us": self._clock_us,
+                    "dur_us": 0.0,
+                }
+            )
+            return
+        record: Dict[str, Any] = {
+            "type": event.kind,
+            "phase": event.phase,
+            "round": event.round,
+            **self._advance(event.elapsed_s),
+            "backend": dict(event.backend_stats),
         }
-        if raw_headroom < 0:
-            event["over_budget_words"] = -raw_headroom
-            self._warn_over_budget(round_index, -raw_headroom, budget)
-        self.events.append(event)
-        for mid, sent in enumerate(sent_per_machine):
-            self._audit("sent", mid, round_index, sent)
-        for mid, received in enumerate(received_per_machine):
-            self._audit("received", mid, round_index, received)
-
-    def record_memory(self, mid: int, words: int, round_index: int) -> None:
-        """Record a machine's post-superstep residency; audit vs ``S``."""
-        if words > self.machine_peak_words.get(mid, -1):
-            self.machine_peak_words[mid] = words
-        self._audit("memory", mid, round_index, words)
+        if event.kind == "round":
+            budget = self.config.memory_words
+            # Headroom is clamped at zero: a round past budget (possible
+            # when the simulator runs with enforcement off, e.g. trace-only
+            # probes) is *flagged* with its overshoot rather than silently
+            # reported as negative headroom no auditor ever warns on.
+            raw_headroom = budget - max(event.max_sent, event.max_received)
+            record.update(
+                messages=event.messages,
+                words=event.words,
+                max_sent=event.max_sent,
+                max_received=event.max_received,
+                headroom_words=max(0, raw_headroom),
+                sent_per_machine=list(event.sent_per_machine),
+                received_per_machine=list(event.received_per_machine),
+            )
+            if raw_headroom < 0:
+                record["over_budget_words"] = -raw_headroom
+                self._warn_over_budget(event.round, -raw_headroom, budget)
+            for mid, sent in enumerate(event.sent_per_machine):
+                self._audit("sent", mid, event.round, sent)
+            for mid, received in enumerate(event.received_per_machine):
+                self._audit("received", mid, event.round, received)
+        self.events.append(record)
+        for mid, words in enumerate(event.memory):
+            if words > self.machine_peak_words.get(mid, -1):
+                self.machine_peak_words[mid] = words
+            self._audit("memory", mid, event.round, words)
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -495,11 +467,6 @@ class ServiceTrace:
                 for percent in (50, 95, 99)
             }
         return summary
-
-    def merge_counters(self, counters: Dict[str, int]) -> None:
-        """Fold an external counter dict in (e.g. a cache's totals)."""
-        for key, value in counters.items():
-            self.counters[key] = self.counters.get(key, 0) + value
 
     def summary(self) -> Dict[str, Any]:
         """The closing summary record (also useful without an export)."""

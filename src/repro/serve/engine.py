@@ -272,6 +272,22 @@ class BatchEngine:
                 "either 'input' (edge-list path) or 'family' "
                 "(generator spec)"
             )
+        for key in ("beta", "alpha", "seed"):
+            if key in data and type(data[key]) is not int:
+                raise ServeError(
+                    f"request {index}: field {key!r} must be an integer, "
+                    f"got {data[key]!r}"
+                )
+        alpha_mem = data.get("alpha_mem", (2, 3))
+        if not (
+            isinstance(alpha_mem, (list, tuple))
+            and len(alpha_mem) == 2
+            and all(type(x) is int for x in alpha_mem)
+        ):
+            raise ServeError(
+                f"request {index}: field 'alpha_mem' must be two "
+                f"integers, got {alpha_mem!r}"
+            )
         return {
             "id": str(data.get("id", f"req-{index}")),
             "source": source,
@@ -279,11 +295,11 @@ class BatchEngine:
                 source, sort_keys=True, separators=(",", ":")
             ),
             "algorithm": str(data.get("algorithm", registry.DET_RULING)),
-            "beta": int(data.get("beta", 2)),
-            "alpha": int(data.get("alpha", 2)),
+            "beta": data.get("beta", 2),
+            "alpha": data.get("alpha", 2),
             "regime": str(data.get("regime", "sublinear")),
-            "alpha_mem": [int(x) for x in data.get("alpha_mem", (2, 3))],
-            "seed": int(data.get("seed", 0)),
+            "alpha_mem": list(alpha_mem),
+            "seed": data.get("seed", 0),
         }
 
     def _request_key(

@@ -6,26 +6,10 @@ from repro.errors import AlgorithmError, MPCViolationError
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import ADJ, DistributedGraph
-from repro.mpc.machine import Costed, words_of
-from repro.mpc.metrics import RunMetrics
+from repro.mpc.metrics import RunMetrics, SuperstepEvent
 from repro.mpc.primitives.broadcast import broadcast_value
 from repro.mpc.primitives.sort import sample_sort
 from repro.mpc.simulator import Simulator
-
-
-class TestCosted:
-    def test_declared_cost(self):
-        assert words_of(Costed(object(), words=9)) == 9
-
-    def test_zero_cost_allowed(self):
-        assert words_of(Costed("x", words=0)) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Costed("x", words=-1)
-
-    def test_nested_in_store(self):
-        assert words_of({"k": Costed([1] * 100, words=3)}) == 4
 
 
 class TestGraphStoreFaults:
@@ -101,13 +85,23 @@ class TestMetricsEdges:
 
     def test_phase_with_no_rounds(self):
         metrics = RunMetrics()
-        metrics.begin_phase("idle")
+        metrics.observe(SuperstepEvent("phase", 0, "idle"))
         assert metrics.phase_rounds() == {"idle": 0}
 
     def test_record_round_accumulates(self):
         metrics = RunMetrics()
-        metrics.record_round(messages=2, words=5, max_sent=3, max_received=5)
-        metrics.record_round(messages=1, words=1, max_sent=1, max_received=1)
+        for messages, words, max_sent, max_received, memory in (
+            (2, 5, 3, 5, (7, 2)),
+            (1, 1, 1, 1, (4, 9)),
+        ):
+            metrics.observe(SuperstepEvent(
+                "round", metrics.rounds + 1, "p", memory=memory,
+                messages=messages, words=words, max_sent=max_sent,
+                max_received=max_received,
+            ))
         assert metrics.rounds == 2
         assert metrics.total_words == 6
         assert metrics.max_words_sent == 3
+        assert metrics.max_words_received == 5
+        assert metrics.total_messages == 3
+        assert metrics.peak_memory_words == 9

@@ -10,8 +10,16 @@ from repro.core.program import ProgramContext
 from repro.errors import MPCConfigError, MPCViolationError
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
-from repro.mpc.governor import GovernorPolicy, LoadGovernor, PeakHold
+from repro.mpc.governor import (
+    CHUNK_FLOOR,
+    TARGET_DEN,
+    TARGET_NUM,
+    WINDOW_FLOOR,
+    LoadGovernor,
+    PeakHold,
+)
 from repro.mpc.graph_store import DistributedGraph
+from repro.mpc.metrics import SuperstepEvent
 from repro.mpc.simulator import GOVERNED_ENV, Simulator
 
 
@@ -28,52 +36,27 @@ class TestPeakHold:
         ph.observe(-5)
         assert ph.peak == 0
 
-    def test_decay_lowers_the_peak_between_highs(self):
-        ph = PeakHold(decay_num=1, decay_den=2)
-        ph.observe(100)
-        ph.observe(0)
-        assert ph.peak == 50  # decayed once
-        ph.observe(60)
-        assert ph.peak == 60  # new high wins over 25
 
-    def test_invalid_decay_rejected(self):
-        with pytest.raises(MPCConfigError):
-            PeakHold(decay_num=0, decay_den=1)
-        with pytest.raises(MPCConfigError):
-            PeakHold(decay_num=3, decay_den=2)
-        with pytest.raises(MPCConfigError):
-            PeakHold(decay_num=1, decay_den=0)
+def round_event(max_sent, max_received=0, memory=()):
+    return SuperstepEvent(
+        "round", 1, "p", memory=memory, max_sent=max_sent,
+        max_received=max_received,
+    )
 
 
 class TestGovernorPolicy:
     def test_defaults_are_valid(self):
-        policy = GovernorPolicy()
-        assert policy.target_num == 1 and policy.target_den == 2
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"target_num": 0},
-            {"target_num": 3, "target_den": 2},
-            {"target_den": 0},
-            {"chunk_floor": 0},
-            {"window_floor": 0},
-            {"decay_num": 0},
-        ],
-    )
-    def test_invalid_knobs_rejected(self, kwargs):
-        with pytest.raises(MPCConfigError):
-            GovernorPolicy(**kwargs)
+        # The policy is fixed: plan at half of S, floor spool chunks at
+        # 32 messages and exponentiation windows at one vertex.
+        assert (TARGET_NUM, TARGET_DEN) == (1, 2)
+        assert (CHUNK_FLOOR, WINDOW_FLOOR) == (32, 1)
 
 
 class TestLoadGovernorQueries:
     def test_target_is_a_budget_fraction(self):
         gov = LoadGovernor(4096)
         assert gov.target_words == 2048
-        gov = LoadGovernor(
-            1000, GovernorPolicy(target_num=3, target_den=4)
-        )
-        assert gov.target_words == 750
+        assert LoadGovernor(1).target_words == 1  # never below one word
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(MPCConfigError):
@@ -82,10 +65,10 @@ class TestLoadGovernorQueries:
     def test_headroom_tracks_round_peak_and_clamps(self):
         gov = LoadGovernor(100)
         assert gov.headroom_words() == 100
-        gov.observe_round(words=200, max_sent=60, max_received=40)
+        gov.observe(round_event(60, 40))
         assert gov.peak_round_words() == 60
         assert gov.headroom_words() == 40
-        gov.observe_round(words=500, max_sent=80, max_received=250)
+        gov.observe(round_event(80, 250))
         assert gov.headroom_words() == 0  # clamped, never negative
 
     def test_scale_chunk_is_identity_before_any_round(self):
@@ -94,11 +77,11 @@ class TestLoadGovernorQueries:
         assert gov.stats()["chunk_scalings"] == 0
 
     def test_scale_chunk_shrinks_with_headroom_and_floors(self):
-        gov = LoadGovernor(100, GovernorPolicy(chunk_floor=8))
-        gov.observe_round(words=0, max_sent=75, max_received=0)
+        gov = LoadGovernor(100)
+        gov.observe(round_event(75))
         assert gov.scale_chunk(400) == 100  # 400 * 25 // 100
-        gov.observe_round(words=0, max_sent=100, max_received=0)
-        assert gov.scale_chunk(400) == 8  # zero headroom -> floor
+        gov.observe(round_event(100))
+        assert gov.scale_chunk(400) == CHUNK_FLOOR  # zero headroom
         assert gov.scale_chunk(4) == 4  # floor never exceeds base
         # the base-4 call returned the base unchanged — not a scaling
         assert gov.stats()["chunk_scalings"] == 2
@@ -107,21 +90,14 @@ class TestLoadGovernorQueries:
         with pytest.raises(MPCConfigError):
             LoadGovernor(100).scale_chunk(0)
 
-    def test_feed_trace_primes_the_estimator(self):
-        from repro.mpc.trace import TraceRecorder
-
-        cfg = MPCConfig(num_machines=2, memory_words=64)
-        recorder = TraceRecorder(cfg)
-        recorder.record_round(
-            round_index=1, phase="p", elapsed_s=0.0, messages=2, words=10,
-            max_sent=10, max_received=10, sent_per_machine=[10, 0],
-            received_per_machine=[0, 10], backend_stats={},
-        )
-        recorder.record_memory(0, 33, round_index=1)
+    def test_observe_folds_round_and_memory_peaks(self):
         gov = LoadGovernor(64)
-        gov.feed_trace(recorder)
+        gov.observe(round_event(10, 4, memory=(33, 7)))
+        gov.observe(SuperstepEvent("local", 1, "p", memory=(12, 20)))
+        gov.observe(SuperstepEvent("phase", 1, "q"))
         assert gov.peak_round_words() == 10
         assert gov.peak_memory_words() == 33
+        assert gov.stats()["rounds_observed"] == 1
 
 
 class TestPlanBatch:
@@ -145,9 +121,9 @@ class TestPlanBatch:
         assert gov.stats()["batched_steps"] == 1
 
     def test_floors_at_window_floor(self):
-        gov = LoadGovernor(100, GovernorPolicy(window_floor=2))
+        gov = LoadGovernor(100)
         sizes = {v: 1000 for v in range(8)}  # nothing ever fits
-        assert gov.plan_batch(8, sizes, self.owner_of) == 2
+        assert gov.plan_batch(8, sizes, self.owner_of) == WINDOW_FLOOR
 
     def test_empty_inputs_plan_unbatched(self):
         gov = LoadGovernor(100)
@@ -161,20 +137,11 @@ class TestConfigWiring:
         assert sim.governor is None
 
     def test_with_governor_enables_and_sizes_the_target(self):
-        cfg = MPCConfig(num_machines=2, memory_words=256).with_governor(
-            target_percent=25
-        )
-        assert cfg.governed and cfg.governor_target_percent == 25
+        cfg = MPCConfig(num_machines=2, memory_words=256).with_governor()
+        assert cfg.governed
         sim = Simulator(cfg)
         assert isinstance(sim.governor, LoadGovernor)
-        assert sim.governor.target_words == 64
-
-    def test_invalid_target_percent_rejected(self):
-        with pytest.raises(MPCConfigError):
-            MPCConfig(
-                num_machines=2, memory_words=256, governed=True,
-                governor_target_percent=0,
-            )
+        assert sim.governor.target_words == 128
 
     def test_env_override_governs(self, monkeypatch):
         monkeypatch.setenv(GOVERNED_ENV, "1")

@@ -78,7 +78,7 @@ def _reference_words(obj):
         )
     if isinstance(obj, (list, tuple, set, frozenset)):
         return sum(_reference_words(x) for x in obj)
-    return words_of(obj)  # Costed etc.: defer to the real implementation
+    return words_of(obj)  # anything else: defer to the real implementation
 
 
 class TestBatchedWordsOf:

@@ -15,7 +15,6 @@ from repro.mpc.primitives import (
     shuffle,
 )
 from repro.mpc.primitives.broadcast import broadcast_value
-from repro.mpc.primitives.shuffle import inbox_grouped_by_first
 from repro.mpc.simulator import Simulator
 from repro.util.rng import SplitMix64
 
@@ -95,8 +94,9 @@ class TestShuffleAndPrefix:
             return [Message(0, (machine.mid % 2, machine.mid))]
 
         shuffle(sim, items)
-        groups = inbox_grouped_by_first(sim.machine(0))
-        assert groups == {0: [(0,), (2,)], 1: [(1,)]}
+        # Arrival order: sender id, then send order within a sender.
+        assert sim.machine(0).inbox == [(0, 0), (1, 1), (0, 2)]
+        assert sim.metrics.rounds == 1
 
     def test_prefix_counts(self):
         sim = sim_with(5)

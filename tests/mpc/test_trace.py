@@ -79,9 +79,6 @@ class TestCrossChecks:
     def test_round_words_sum_to_total_words(self):
         _, metrics, trace = run_det_luby(trace=True)
         assert trace.total_words() == metrics.total_words
-        assert [
-            ev["words"] for ev in trace.round_events()
-        ] == metrics.words_per_round
         assert len(trace.round_events()) == metrics.rounds
 
     def test_per_machine_rows_sum_to_round_words(self):

@@ -344,6 +344,20 @@ class TestWarmPools:
         assert "unknown fields" in invalid["error"]
         assert good["status"] == "ok"
 
+    def test_mistyped_field_is_invalid_not_failed(self):
+        daemon = ServeDaemon(_engine())
+
+        async def body():
+            invalid = await daemon.submit(_request("x", beta="x"))
+            good = await daemon.submit(_request("good"))
+            return invalid, good
+
+        invalid, good = asyncio.run(_with_workers(daemon, body))
+        assert invalid["status"] == "invalid"
+        assert invalid["error_type"] == "ServeError"
+        assert "field 'beta' must be an integer" in invalid["error"]
+        assert good["status"] == "ok"
+
 
 class TestSocketLifecycle:
     def test_clean_startup_and_shutdown(self, tmp_path):

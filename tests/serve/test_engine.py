@@ -133,6 +133,25 @@ class TestPlanning:
         with pytest.raises(ServeError, match="'graph'"):
             engine.run([{"algorithm": registry.DET_RULING}])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beta", "x"),
+            ("alpha", 2.5),
+            ("seed", "s"),
+            ("seed", True),
+            ("alpha_mem", 5),
+            ("alpha_mem", [1]),
+            ("alpha_mem", [2, "3"]),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        engine = BatchEngine(ResultCache())
+        good = {"id": "ok", "graph": dict(TREE)}
+        bad = {"id": "bad", "graph": dict(TREE), field: value}
+        with pytest.raises(ServeError, match=rf"request 1: field '{field}'"):
+            engine.run([good, bad])
+
 
 class TestWarmServing:
     def test_second_run_is_all_hits_with_zero_executions(self, tmp_path):
