@@ -50,13 +50,7 @@ from repro.derand.seed_search import distributed_choose_seed
 from repro.errors import AlgorithmError
 from repro.mpc.graph_store import ADJ, DistributedGraph
 from repro.mpc.machine import Machine
-from repro.mpc.state_layout import (
-    KERNEL_NUMPY,
-    KERNEL_PYTHON,
-    kernel_of,
-    numpy_or_none,
-    supports_modulus,
-)
+from repro.mpc.state_layout import KERNEL_PYTHON, kernel_of, vector_numpy
 from repro.util.prime import next_prime
 
 VTERMS = "luby_vterms"
@@ -258,11 +252,7 @@ def luby_program(
         p = ctx.state["luby_p"]
         seed = ctx.state.pop("luby_seed")
 
-        np_mod = (
-            numpy_or_none()
-            if kernel_of(sim) == KERNEL_NUMPY and supports_modulus(p)
-            else None
-        )
+        np_mod = vector_numpy(sim, p)
 
         # --- compute the winner set C locally --------------------------
         def decide_winners(machine: Machine) -> None:

@@ -35,54 +35,34 @@ targets only govern progress speed.  The randomized baseline runs the
 same engine with a draw-don't-scan seed chooser, so benchmark deltas
 isolate exactly the derandomization cost.
 
-The engine is expressed as a :class:`~repro.core.program.
-SuperstepProgram` (see :func:`ruling_program`); the shared superstep
-building blocks (gather-and-greedy, removal wave, layer accounting) live
-in :mod:`repro.core.engine_ops`.
+The main loop (measure, route, gather-finish, endgame, solve, remove) is
+the one :func:`repro.core.engine_ops.sparsify_and_gather_program` shares
+with the degree-class family; this module supplies only step 1, the
+removal radius β and its labels (see :func:`ruling_program`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from repro.core.det_luby import det_luby_mis, modulus_for
 from repro.core.engine_ops import (
+    LoopLabels,
     adjacency_words,
-    deactivate_all,
-    gather_and_greedy,
-    merge_members,
-    removal_wave,
+    gather_budget,
     sampling_rate,
+    sparsify_and_gather_program,
 )
-from repro.core.program import (
-    EXIT,
-    Branch,
-    Loop,
-    Phase,
-    ProgramContext,
-    SuperstepProgram,
-)
+from repro.core.program import ProgramContext, SuperstepProgram
 from repro.derand.family import Seed, threshold_for_rate
 from repro.derand.seed_search import distributed_scan_seeds
 from repro.errors import AlgorithmError
 from repro.mpc.graph_store import ADJ, DistributedGraph
 from repro.mpc.machine import Machine
 from repro.mpc.primitives.aggregate import reduce_scalar
-from repro.mpc.state_layout import (
-    KERNEL_NUMPY,
-    BoundedCache,
-    MachineCSR,
-    kernel_of,
-    numpy_or_none,
-    supports_modulus,
-)
+from repro.mpc.state_layout import BoundedCache, MachineCSR, vector_numpy
 
 IN_SET = "rs_in_set"
 ITER_MEMBERS = "rs_iter_members"
-
-# Historical alias: the rate helper moved to engine_ops; tests and the
-# randomized baseline still import it from here.
-_sampling_rate = sampling_rate
 
 # A sampling chooser returns (seed, candidates_scanned) for one level.
 SamplingChooser = Callable[
@@ -102,11 +82,7 @@ def scanning_chooser(batch: int = 32, max_batches: int = 512) -> SamplingChooser
         n_level: int,
         n_high: int,
     ) -> Tuple[Seed, int]:
-        np_mod = (
-            numpy_or_none()
-            if kernel_of(dg.sim) == KERNEL_NUMPY and supports_modulus(p)
-            else None
-        )
+        np_mod = vector_numpy(dg.sim, p)
         # The adjacency layer is immutable for the duration of one scan,
         # so each machine's CSR view is built once and reused across
         # every candidate seed in every batch — bounded to the backend's
@@ -175,14 +151,15 @@ def ruling_program(
 ) -> SuperstepProgram:
     """The sparsify-and-gather ruling-set engine as a phase program.
 
-    Each main-loop iteration is an unlabelled measurement phase plus a
-    routed branch: ``ruling-gather-finish`` (whole residual fits one
-    machine), ``ruling-endgame-luby`` (tiny residual degree), or the
-    three-phase sparsify chain (``ruling-sparsify`` →
-    ``ruling-solve-level`` → ``ruling-removal-wave``).  Level adjacency
+    The shared loop of :func:`~repro.core.engine_ops.
+    sparsify_and_gather_program` with this module's sampling step
+    (``ruling-sparsify``: up to β − 1 levels, one chosen seed each) and
+    removal radius β.  Its phases are ``ruling-iteration`` (route),
+    ``ruling-gather-finish``, ``ruling-endgame-luby`` (residual degree ≤
+    ``endgame_degree``) and the chain ``ruling-sparsify`` →
+    ``ruling-solve-level`` → ``ruling-removal-wave``.  Level adjacency
     layers register with :meth:`~repro.core.program.ProgramContext.
-    push_level` and are torn down via ``release_levels`` on every exit
-    path.
+    push_level` and are torn down on every exit path.
     """
     if beta < 2:
         raise AlgorithmError(
@@ -191,82 +168,11 @@ def ruling_program(
         )
     choose = chooser if chooser is not None else scanning_chooser()
 
-    def setup(ctx: ProgramContext) -> None:
+    def sparsify(ctx: ProgramContext, p: int, level_degree: int) -> str:
         dg, sim = ctx.dg, ctx.sim
-        p = modulus_for(dg.num_vertices)
-        ctx.state["rs_p"] = p
-        ctx.state["rs_np_mod"] = (
-            numpy_or_none()
-            if kernel_of(sim) == KERNEL_NUMPY and supports_modulus(p)
-            else None
-        )
-        ctx.state["rs_budget"] = sim.config.memory_words // 2
-        ctx.state["rs_limit"] = (
-            max_iterations
-            if max_iterations is not None
-            else dg.num_vertices + 2
-        )
-
-        def ensure_sets(machine: Machine) -> None:
-            if in_set_key not in machine.store:
-                machine.store[in_set_key] = set()
-            machine.store[ITER_MEMBERS] = set()
-
-        sim.local(ensure_sets)
-
-    def measure(ctx: ProgramContext):
-        n_act, m_act, words = adjacency_words(ctx.dg, ADJ)
-        if n_act == 0:
-            return EXIT
-        ctx.counters["iterations"] += 1
-        ctx.state["rs_words"] = words
-        return None
-
-    def route(ctx: ProgramContext) -> None:
-        # Runs under the "ruling-iteration" label: picks the arm and, on
-        # the sparsify path, measures the residual degree (that reduction
-        # is only paid when the residual does not fit one machine).
-        if ctx.state["rs_words"] <= ctx.state["rs_budget"]:
-            ctx.state["rs_route"] = "gather"
-            return
-        max_deg = ctx.dg.max_active_degree(ADJ)
-        if max_deg <= endgame_degree:
-            ctx.state["rs_route"] = "endgame"
-            return
-        ctx.state["rs_route"] = "sparsify"
-        ctx.state["rs_max_deg"] = max_deg
-
-    def gather_finish(ctx: ProgramContext):
-        members = gather_and_greedy(ctx.dg, ADJ, ITER_MEMBERS)
-        ctx.counters["gather_finishes"] += 1
-        ctx.counters["members"] += members
-        merge_members(ctx.sim, in_set_key, ITER_MEMBERS)
-        deactivate_all(ctx.dg, ADJ)
-        return EXIT
-
-    def _residual_luby(ctx: ProgramContext) -> None:
-        # Guaranteed-progress fallback: one full Luby MIS on the residual.
-        sub = det_luby_mis(
-            ctx.dg, adj_key=ADJ, in_set_key=ITER_MEMBERS,
-            chooser=luby_chooser, allow_stalls=luby_allow_stalls,
-        )
-        ctx.counters["endgame_luby"] += 1
-        ctx.counters["seed_candidates"] += sub["seed_candidates"]
-        ctx.counters["members"] += merge_members(
-            ctx.sim, in_set_key, ITER_MEMBERS
-        )
-
-    def endgame(ctx: ProgramContext):
-        _residual_luby(ctx)
-        return EXIT
-
-    def sparsify(ctx: ProgramContext) -> None:
-        dg, sim = ctx.dg, ctx.sim
-        p = ctx.state["rs_p"]
-        np_mod = ctx.state["rs_np_mod"]
-        budget = ctx.state["rs_budget"]
+        np_mod = vector_numpy(sim, p)
+        budget = gather_budget(sim)
         prev_key = ADJ
-        level_degree = ctx.state.pop("rs_max_deg")
         for level in range(1, beta):
             rate_num, rate_den = sampling_rate(level_degree)
             threshold = threshold_for_rate(p, rate_num, rate_den)
@@ -309,51 +215,29 @@ def ruling_program(
 
             sim.local(build_level)
             prev_key = new_key
-            n_lvl, m_lvl, lvl_words = adjacency_words(dg, prev_key)
+            n_lvl, _, lvl_words = adjacency_words(dg, prev_key)
             if n_lvl == 0 or lvl_words <= budget:
                 break
             level_degree = dg.max_active_degree(prev_key)
             if level_degree <= endgame_degree:
                 break
-        ctx.state["rs_deep_key"] = prev_key
+        return prev_key
 
-    def solve_level(ctx: ProgramContext):
-        dg, sim = ctx.dg, ctx.sim
-        prev_key = ctx.state.pop("rs_deep_key")
-        n_deep, m_deep, deep_words = adjacency_words(dg, prev_key)
-        if n_deep == 0:
-            # Sampling emptied out (legal but rare): make guaranteed
-            # progress with one full Luby MIS on the residual graph.
-            _residual_luby(ctx)
-            ctx.release_levels()
-            return EXIT
-        if deep_words <= ctx.state["rs_budget"]:
-            members = gather_and_greedy(dg, prev_key, ITER_MEMBERS)
-            ctx.counters["level_gathers"] += 1
-        else:
-            sub = det_luby_mis(
-                dg, adj_key=prev_key, in_set_key=ITER_MEMBERS,
-                chooser=luby_chooser, allow_stalls=luby_allow_stalls,
-            )
-            ctx.counters["level_luby_solves"] += 1
-            ctx.counters["seed_candidates"] += sub["seed_candidates"]
-            members = reduce_scalar(
-                sim, lambda m: len(m.store[ITER_MEMBERS]), lambda a, b: a + b
-            )
-        if members == 0:
-            raise AlgorithmError(
-                "level solver produced no members from a non-empty level"
-            )
-        ctx.counters["members"] += members
-        return None
-
-    def remove(ctx: ProgramContext) -> None:
-        removal_wave(ctx.dg, ITER_MEMBERS, beta)
-        merge_members(ctx.sim, in_set_key, ITER_MEMBERS)
-        ctx.release_levels()
-
-    return SuperstepProgram(
+    return sparsify_and_gather_program(
         name="sparsify-gather",
+        labels=LoopLabels(
+            route="ruling-iteration",
+            gather_finish="ruling-gather-finish",
+            endgame="ruling-endgame-luby",
+            sample="ruling-sparsify",
+            solve="ruling-solve-level",
+            remove="ruling-removal-wave",
+            sample_gathers="level_gathers",
+            sample_luby_solves="level_luby_solves",
+            no_members="level solver produced no members from a non-empty level",
+            unfinished="ruling set",
+            iterations="iterations",
+        ),
         counters=(
             "iterations",
             "levels_built",
@@ -364,43 +248,13 @@ def ruling_program(
             "endgame_luby",
             "members",
         ),
-        steps=(
-            Phase(setup, keys=(in_set_key, ITER_MEMBERS)),
-            Loop(
-                steps=(
-                    Phase(measure),
-                    Phase(route, name="ruling-iteration"),
-                    Branch(
-                        pick=lambda ctx: ctx.state.pop("rs_route"),
-                        arms={
-                            "gather": (
-                                Phase(
-                                    gather_finish,
-                                    name="ruling-gather-finish",
-                                ),
-                            ),
-                            "endgame": (
-                                Phase(endgame, name="ruling-endgame-luby"),
-                            ),
-                            "sparsify": (
-                                Phase(sparsify, name="ruling-sparsify"),
-                                Phase(
-                                    solve_level,
-                                    name="ruling-solve-level",
-                                ),
-                                Phase(
-                                    remove,
-                                    name="ruling-removal-wave",
-                                ),
-                            ),
-                        },
-                    ),
-                ),
-                limit=lambda ctx: ctx.state["rs_limit"],
-                exhausted=lambda ctx: AlgorithmError(
-                    "ruling set did not finish in "
-                    f"{ctx.state['rs_limit']} iterations"
-                ),
-            ),
-        ),
+        sample=sparsify,
+        radius=beta,
+        endgame_degree=endgame_degree,
+        default_limit=lambda n: n + 2,
+        in_set_key=in_set_key,
+        iter_key=ITER_MEMBERS,
+        max_iterations=max_iterations,
+        luby_chooser=luby_chooser,
+        luby_allow_stalls=luby_allow_stalls,
     )

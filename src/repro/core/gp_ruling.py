@@ -43,10 +43,11 @@ member, so the output 2-dominates: a (2, 2)-ruling set, unconditionally
 by construction.  As with the sparsify engine, the sampling targets only
 govern progress speed.
 
-The implementation is a :class:`~repro.core.program.SuperstepProgram`
-built entirely from the shared phase-program framework and
-:mod:`repro.core.engine_ops` building blocks — the point of the
-refactor is visible here: this module contains only algorithm logic.
+Steps 3 and 4 and the finishing moves are the shared main loop of
+:func:`repro.core.engine_ops.sparsify_and_gather_program`, the same loop
+the sparsify engine runs; this module supplies only steps 1 and 2 (the
+sampling step), the removal radius 2, the endgame degree, the iteration
+limit and its labels.
 """
 
 from __future__ import annotations
@@ -54,22 +55,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from repro.core.det_luby import det_luby_mis, modulus_for
-from repro.core.engine_ops import (
-    adjacency_words,
-    deactivate_all,
-    gather_and_greedy,
-    merge_members,
-    removal_wave,
-)
-from repro.core.program import (
-    EXIT,
-    Branch,
-    Loop,
-    Phase,
-    ProgramContext,
-    SuperstepProgram,
-)
+from repro.core.engine_ops import LoopLabels, sparsify_and_gather_program
+from repro.core.program import ProgramContext, SuperstepProgram
 from repro.derand.family import Seed, threshold_for_rate
 from repro.derand.seed_search import distributed_scan_seeds
 from repro.errors import AlgorithmError
@@ -106,6 +93,101 @@ def _class_threshold(p: int, d_lo: int) -> int:
     return threshold_for_rate(p, 4, d_lo)
 
 
+def _sparsify(ctx: ProgramContext, p: int, max_degree: int) -> str:
+    """Commit seeds until every high-class vertex is covered."""
+    dg, sim = ctx.dg, ctx.sim
+    d_lo = math.isqrt(max_degree)
+    threshold = _class_threshold(p, d_lo)
+    ctx.counters["classes"] += 1
+
+    # The uncovered table: each machine keeps the closed neighbour
+    # lists of its still-uncovered high-class vertices, filtered in
+    # place as seeds commit, so every scan candidate is scored
+    # against exactly the remaining uncovered set.
+    def stage_uncovered(machine: Machine) -> None:
+        adj = machine.store[ADJ]
+        machine.store["_gp_uncov"] = {
+            v: nbrs for v, nbrs in adj.items() if len(nbrs) >= d_lo
+        }
+
+    sim.local(stage_uncovered)
+    uncovered = reduce_scalar(
+        sim, lambda m: len(m.store["_gp_uncov"]), lambda a, b: a + b
+    )
+    committed: List[Seed] = []
+    scan_start = 0
+    commit_cap = 2 + max(2, dg.num_vertices).bit_length()
+    while uncovered > 0:
+        if len(committed) >= commit_cap:
+            raise AlgorithmError(
+                "degree-class sparsification failed to cover the "
+                f"high class within {commit_cap} committed seeds"
+            )
+
+        def local_stats(machine: Machine, seed: Seed) -> Tuple[int]:
+            # Still-uncovered count under committed ∪ {candidate}:
+            # a vertex stays uncovered when neither it nor any
+            # neighbour hashes below the threshold.
+            t = threshold
+            still = 0
+            for v, nbrs in machine.store["_gp_uncov"].items():
+                if seed.hash(v) < t:
+                    continue
+                if any(seed.hash(u) < t for u in nbrs):
+                    continue
+                still += 1
+            return (still,)
+
+        def accept(stats: Tuple[int, ...]) -> bool:
+            return 2 * stats[0] <= uncovered
+
+        seed, stats, scan = distributed_scan_seeds(
+            sim,
+            p,
+            local_stats,
+            stat_width=1,
+            accept=accept,
+            start_index=scan_start,
+        )
+        scan_start += scan.candidates_scanned
+        committed.append(seed)
+        ctx.counters["scans"] += 1
+        ctx.counters["seed_candidates"] += scan.candidates_scanned
+        uncovered = stats[0]
+
+        def drop_covered(machine: Machine, s=seed) -> None:
+            t = threshold
+            machine.store["_gp_uncov"] = {
+                v: nbrs
+                for v, nbrs in machine.store["_gp_uncov"].items()
+                if s.hash(v) >= t
+                and not any(s.hash(u) < t for u in nbrs)
+            }
+
+        sim.local(drop_covered)
+
+    ctx.release("_gp_uncov")
+
+    # Sample membership is a pure function of the id given the
+    # committed seed list — the induced adjacency needs no rounds.
+    def build_sample(machine: Machine) -> None:
+        t = threshold
+
+        def sampled(v: int) -> bool:
+            return any(s.hash(v) < t for s in committed)
+
+        adj = machine.store[ADJ]
+        machine.store[SAMPLE_ADJ] = {
+            v: tuple(u for u in nbrs if sampled(u))
+            for v, nbrs in adj.items()
+            if sampled(v)
+        }
+
+    sim.local(build_sample)
+    ctx.push_level(SAMPLE_ADJ)
+    return SAMPLE_ADJ
+
+
 def gp_program(
     in_set_key: str = GP_IN_SET,
     luby_chooser=None,
@@ -114,189 +196,27 @@ def gp_program(
 ) -> SuperstepProgram:
     """The degree-class 2-ruling set as a phase program.
 
-    Each iteration is an unlabelled measurement phase plus a routed
-    branch: ``gp-gather-finish`` (whole residual fits one machine),
-    ``gp-endgame-luby`` (residual degree ≤ 8), or the three-phase class
-    chain ``gp-sparsify`` → ``gp-solve-sample`` → ``gp-removal-wave``.
-    The session executes it via the registry's program factory.
+    The shared loop of :func:`~repro.core.engine_ops.
+    sparsify_and_gather_program` with this module's sampling step
+    (``gp-sparsify``: degree-class seed commits) and removal radius 2.
+    Its phases are ``gp-degree-class`` (route), ``gp-gather-finish``,
+    ``gp-endgame-luby`` (residual degree ≤ 8) and the chain
+    ``gp-sparsify`` → ``gp-solve-sample`` → ``gp-removal-wave``.
     """
-
-    def setup(ctx: ProgramContext) -> None:
-        dg, sim = ctx.dg, ctx.sim
-        ctx.state["gp_p"] = modulus_for(dg.num_vertices)
-        ctx.state["gp_budget"] = sim.config.memory_words // 2
-        ctx.state["gp_limit"] = (
-            max_iterations
-            if max_iterations is not None
-            else 2 + max(1, dg.num_vertices.bit_length())
-        )
-
-        def ensure_sets(machine: Machine) -> None:
-            if in_set_key not in machine.store:
-                machine.store[in_set_key] = set()
-            machine.store[GP_ITER] = set()
-
-        sim.local(ensure_sets)
-
-    def measure(ctx: ProgramContext):
-        n_act, m_act, words = adjacency_words(ctx.dg, ADJ)
-        if n_act == 0:
-            return EXIT
-        ctx.state["gp_words"] = words
-        return None
-
-    def route(ctx: ProgramContext) -> None:
-        if ctx.state["gp_words"] <= ctx.state["gp_budget"]:
-            ctx.state["gp_route"] = "gather"
-            return
-        max_deg = ctx.dg.max_active_degree(ADJ)
-        if max_deg <= ENDGAME_DEGREE:
-            ctx.state["gp_route"] = "endgame"
-            return
-        ctx.state["gp_route"] = "class"
-        ctx.state["gp_max_deg"] = max_deg
-
-    def gather_finish(ctx: ProgramContext):
-        members = gather_and_greedy(ctx.dg, ADJ, GP_ITER)
-        ctx.counters["gather_finishes"] += 1
-        ctx.counters["members"] += members
-        merge_members(ctx.sim, in_set_key, GP_ITER)
-        deactivate_all(ctx.dg, ADJ)
-        return EXIT
-
-    def endgame(ctx: ProgramContext):
-        sub = det_luby_mis(
-            ctx.dg, adj_key=ADJ, in_set_key=GP_ITER,
-            chooser=luby_chooser, allow_stalls=luby_allow_stalls,
-        )
-        ctx.counters["endgame_luby"] += 1
-        ctx.counters["seed_candidates"] += sub["seed_candidates"]
-        ctx.counters["members"] += merge_members(ctx.sim, in_set_key, GP_ITER)
-        return EXIT
-
-    def sparsify(ctx: ProgramContext) -> None:
-        """Commit seeds until every high-class vertex is covered."""
-        dg, sim = ctx.dg, ctx.sim
-        p = ctx.state["gp_p"]
-        d_lo = math.isqrt(ctx.state.pop("gp_max_deg"))
-        threshold = _class_threshold(p, d_lo)
-        ctx.counters["classes"] += 1
-
-        # The uncovered table: each machine keeps the closed neighbour
-        # lists of its still-uncovered high-class vertices, filtered in
-        # place as seeds commit, so every scan candidate is scored
-        # against exactly the remaining uncovered set.
-        def stage_uncovered(machine: Machine) -> None:
-            adj = machine.store[ADJ]
-            machine.store["_gp_uncov"] = {
-                v: nbrs for v, nbrs in adj.items() if len(nbrs) >= d_lo
-            }
-
-        sim.local(stage_uncovered)
-        uncovered = reduce_scalar(
-            sim, lambda m: len(m.store["_gp_uncov"]), lambda a, b: a + b
-        )
-        committed: List[Seed] = []
-        scan_start = 0
-        commit_cap = 2 + max(2, dg.num_vertices).bit_length()
-        while uncovered > 0:
-            if len(committed) >= commit_cap:
-                raise AlgorithmError(
-                    "degree-class sparsification failed to cover the "
-                    f"high class within {commit_cap} committed seeds"
-                )
-
-            def local_stats(machine: Machine, seed: Seed) -> Tuple[int]:
-                # Still-uncovered count under committed ∪ {candidate}:
-                # a vertex stays uncovered when neither it nor any
-                # neighbour hashes below the threshold.
-                t = threshold
-                still = 0
-                for v, nbrs in machine.store["_gp_uncov"].items():
-                    if seed.hash(v) < t:
-                        continue
-                    if any(seed.hash(u) < t for u in nbrs):
-                        continue
-                    still += 1
-                return (still,)
-
-            def accept(stats: Tuple[int, ...]) -> bool:
-                return 2 * stats[0] <= uncovered
-
-            seed, stats, scan = distributed_scan_seeds(
-                sim,
-                p,
-                local_stats,
-                stat_width=1,
-                accept=accept,
-                start_index=scan_start,
-            )
-            scan_start += scan.candidates_scanned
-            committed.append(seed)
-            ctx.counters["scans"] += 1
-            ctx.counters["seed_candidates"] += scan.candidates_scanned
-            uncovered = stats[0]
-
-            def drop_covered(machine: Machine, s=seed) -> None:
-                t = threshold
-                machine.store["_gp_uncov"] = {
-                    v: nbrs
-                    for v, nbrs in machine.store["_gp_uncov"].items()
-                    if s.hash(v) >= t
-                    and not any(s.hash(u) < t for u in nbrs)
-                }
-
-            sim.local(drop_covered)
-
-        ctx.release("_gp_uncov")
-
-        # Sample membership is a pure function of the id given the
-        # committed seed list — the induced adjacency needs no rounds.
-        def build_sample(machine: Machine) -> None:
-            t = threshold
-
-            def sampled(v: int) -> bool:
-                return any(s.hash(v) < t for s in committed)
-
-            adj = machine.store[ADJ]
-            machine.store[SAMPLE_ADJ] = {
-                v: tuple(u for u in nbrs if sampled(u))
-                for v, nbrs in adj.items()
-                if sampled(v)
-            }
-
-        sim.local(build_sample)
-        ctx.push_level(SAMPLE_ADJ)
-
-    def solve_sample(ctx: ProgramContext) -> None:
-        dg, sim = ctx.dg, ctx.sim
-        n_smp, m_smp, smp_words = adjacency_words(dg, SAMPLE_ADJ)
-        if smp_words <= ctx.state["gp_budget"]:
-            members = gather_and_greedy(dg, SAMPLE_ADJ, GP_ITER)
-            ctx.counters["class_gathers"] += 1
-        else:
-            sub = det_luby_mis(
-                dg, adj_key=SAMPLE_ADJ, in_set_key=GP_ITER,
-                chooser=luby_chooser, allow_stalls=luby_allow_stalls,
-            )
-            ctx.counters["class_luby_solves"] += 1
-            ctx.counters["seed_candidates"] += sub["seed_candidates"]
-            members = reduce_scalar(
-                sim, lambda m: len(m.store[GP_ITER]), lambda a, b: a + b
-            )
-        if members == 0:
-            raise AlgorithmError(
-                "class solver produced no members from a non-empty sample"
-            )
-        ctx.counters["members"] += members
-
-    def remove(ctx: ProgramContext) -> None:
-        removal_wave(ctx.dg, GP_ITER, 2)
-        merge_members(ctx.sim, in_set_key, GP_ITER)
-        ctx.release_levels()
-
-    return SuperstepProgram(
+    return sparsify_and_gather_program(
         name="degree-class",
+        labels=LoopLabels(
+            route="gp-degree-class",
+            gather_finish="gp-gather-finish",
+            endgame="gp-endgame-luby",
+            sample="gp-sparsify",
+            solve="gp-solve-sample",
+            remove="gp-removal-wave",
+            sample_gathers="class_gathers",
+            sample_luby_solves="class_luby_solves",
+            no_members="class solver produced no members from a non-empty sample",
+            unfinished="degree-class decomposition",
+        ),
         counters=(
             "classes",
             "scans",
@@ -307,40 +227,14 @@ def gp_program(
             "endgame_luby",
             "members",
         ),
-        steps=(
-            Phase(setup, keys=(in_set_key, GP_ITER)),
-            Loop(
-                steps=(
-                    Phase(measure),
-                    Phase(route, name="gp-degree-class"),
-                    Branch(
-                        pick=lambda ctx: ctx.state.pop("gp_route"),
-                        arms={
-                            "gather": (
-                                Phase(
-                                    gather_finish, name="gp-gather-finish"
-                                ),
-                            ),
-                            "endgame": (
-                                Phase(endgame, name="gp-endgame-luby"),
-                            ),
-                            "class": (
-                                Phase(
-                                    sparsify,
-                                    name="gp-sparsify",
-                                    keys=("_gp_uncov", SAMPLE_ADJ),
-                                ),
-                                Phase(solve_sample, name="gp-solve-sample"),
-                                Phase(remove, name="gp-removal-wave"),
-                            ),
-                        },
-                    ),
-                ),
-                limit=lambda ctx: ctx.state["gp_limit"],
-                exhausted=lambda ctx: AlgorithmError(
-                    "degree-class decomposition did not finish in "
-                    f"{ctx.state['gp_limit']} iterations"
-                ),
-            ),
-        ),
+        sample=_sparsify,
+        sample_keys=("_gp_uncov", SAMPLE_ADJ),
+        radius=2,
+        endgame_degree=ENDGAME_DEGREE,
+        default_limit=lambda n: 2 + max(1, n.bit_length()),
+        in_set_key=in_set_key,
+        iter_key=GP_ITER,
+        max_iterations=max_iterations,
+        luby_chooser=luby_chooser,
+        luby_allow_stalls=luby_allow_stalls,
     )

@@ -4,7 +4,8 @@ The whole library works with one concrete graph type, :class:`Graph`:
 vertices are the integers ``0..n-1`` and edges are undirected, simple and
 unweighted — exactly the setting of the ruling-set problem.  Everything else
 (generators, induced subgraphs, power graphs, BFS-based verification,
-machine partitions) is built on it.
+edge-list I/O) is built on it; machine ownership lives in
+:mod:`repro.mpc.ownermap`.
 """
 
 from repro.graph.graph import Graph
@@ -26,11 +27,6 @@ from repro.graph.properties import (
     is_independent_set,
     multi_source_distances,
 )
-from repro.graph.partition import (
-    PartitionPlan,
-    balanced_edge_partition,
-    hash_partition,
-)
 from repro.graph.io import read_edge_list, write_edge_list
 
 __all__ = [
@@ -49,9 +45,6 @@ __all__ = [
     "eccentricity",
     "is_independent_set",
     "multi_source_distances",
-    "PartitionPlan",
-    "balanced_edge_partition",
-    "hash_partition",
     "read_edge_list",
     "write_edge_list",
 ]

@@ -50,10 +50,10 @@ def stream_edge_list(path: PathLike) -> Iterator[Tuple[int, int]]:
     deduplication requires memory and belongs to the consumer (the
     in-memory builder, or the per-shard finalize of
     :func:`repro.graph.stream.shard_edge_list`).  Validation happens as
-    lines are read: malformed headers/edges and out-of-range endpoints
-    raise :class:`GraphError` with the same messages as the in-memory
-    reader, and a file without a header raises once the stream is
-    consumed.
+    lines are read: malformed headers/edges, a negative header count and
+    out-of-range endpoints raise :class:`GraphError` with the same
+    messages as the in-memory reader, and a file without a header raises
+    once the stream is consumed.
     """
     source = Path(path)
     header = None
@@ -70,6 +70,10 @@ def stream_edge_list(path: PathLike) -> Iterator[Tuple[int, int]]:
                     _parse_int(parts[0], "header", line),
                     _parse_int(parts[1], "header", line),
                 )
+                if min(header) < 0:
+                    raise GraphError(
+                        f"header counts must be non-negative: {line!r}"
+                    )
                 yield header
                 continue
             if len(parts) != 2:

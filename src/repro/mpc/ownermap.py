@@ -10,9 +10,10 @@ shared metadata.  Three implementations:
 * :class:`HashOwnerMap` — SplitMix64 of the id (O(1) words), used to check
   partition-independence of algorithms.
 
-Every map exposes ``owner_of(v)``, its metadata footprint in words, and a
-``serialize()/deserialize()`` pair so the metadata can be shipped to
-machines as plain integer tuples.
+Every map exposes ``owner_of(v)``, ``owned_by(machine)`` and a
+``serialize()`` tuple of plain integers: the metadata a machine stores
+(and is charged for) to compute ownership locally;
+:func:`deserialize_owner_map` inverts it.
 
 Edges are addressed by a symmetric 64-bit id — ``edge_id(u, v) ==
 edge_id(v, u)`` — so both endpoints' owners agree on the name of a shared
@@ -110,9 +111,6 @@ class RangeOwnerMap:
         """Vertices owned by ``machine``."""
         return range(self.bounds[machine], self.bounds[machine + 1])
 
-    def table_words(self) -> int:
-        return len(self.bounds)
-
     def serialize(self) -> Tuple[int, ...]:
         return (_KIND_RANGE,) + self.bounds
 
@@ -133,9 +131,6 @@ class ModOwnerMap:
 
     def owned_by(self, machine: int) -> range:
         return range(machine, self.num_vertices, self.num_machines)
-
-    def table_words(self) -> int:
-        return 2
 
     def serialize(self) -> Tuple[int, ...]:
         return (_KIND_MOD, self.num_vertices, self.num_machines)
@@ -161,9 +156,6 @@ class HashOwnerMap:
             v for v in range(self.num_vertices) if self.owner_of(v) == machine
         ]
 
-    def table_words(self) -> int:
-        return 3
-
     def serialize(self) -> Tuple[int, ...]:
         return (_KIND_HASH, self.num_vertices, self.num_machines, self.seed)
 
@@ -171,9 +163,7 @@ class HashOwnerMap:
 def balanced_range_map(graph: Graph, num_machines: int) -> RangeOwnerMap:
     """Contiguous ranges balancing adjacency words per machine.
 
-    Same greedy sweep as
-    :func:`repro.graph.partition.balanced_edge_partition`, expressed as
-    compact boundaries.
+    A greedy sweep over vertex ids, expressed as compact boundaries.
 
     >>> g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     >>> balanced_range_map(g, 2).num_machines

@@ -124,6 +124,14 @@ def supports_modulus(p: int) -> bool:
     return 2 <= p <= MAX_VECTOR_MODULUS
 
 
+def vector_numpy(sim, p: int):
+    """``numpy`` when ``sim`` runs the numpy kernel and ``p`` hashes
+    exactly in int64, else ``None`` (the per-entry reference path)."""
+    if kernel_of(sim) == KERNEL_NUMPY and supports_modulus(p):
+        return numpy_or_none()
+    return None
+
+
 def hash_ids(np, ids, a: int, b: int, p: int):
     """Vectorized affine hash ``(a*ids + b) mod p`` (int64, exact).
 

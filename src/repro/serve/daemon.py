@@ -52,11 +52,13 @@ import sys
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.errors import ServeError
+from repro.errors import GraphError, ServeError
+from repro.graph.io import stream_edge_list
 from repro.mpc.config import MPCConfig
 from repro.mpc.governor import PeakHold
 from repro.serve.engine import BatchEngine
@@ -120,9 +122,10 @@ def _estimate_edges(family: str, n: int, param: int) -> int:
 def estimate_request_words(data: Dict[str, Any]) -> int:
     """Estimated input words of one request, for admission control.
 
-    Edge-list sources are priced from the file's ``n m`` header (one
-    ``readline``, never a full read); generator specs from the
-    family's expected edge count — both through the same
+    Edge-list sources are priced from the file's ``n m`` header, read
+    and validated by :func:`~repro.graph.io.stream_edge_list` (never a
+    full read; a header it rejects is unpriceable); generator specs
+    from the family's expected edge count — both through the same
     :meth:`~repro.mpc.config.MPCConfig.input_words` model the budget
     checks use.  Anything unpriceable returns 0: admission control
     sheds load, it does not pre-validate — a malformed request is
@@ -136,10 +139,9 @@ def estimate_request_words(data: Dict[str, Any]) -> int:
         return 0
     if "input" in source:
         try:
-            with open(str(source["input"]), encoding="utf-8") as handle:
-                header = handle.readline().split()
-            n, m = int(header[0]), int(header[1])
-        except (OSError, ValueError, IndexError):
+            with closing(stream_edge_list(str(source["input"]))) as stream:
+                n, m = next(stream)
+        except (OSError, ValueError, GraphError):
             return 0
         return MPCConfig.input_words(n, m)
     try:

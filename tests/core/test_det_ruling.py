@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.det_ruling import _sampling_rate, ruling_program
+from repro.core.det_ruling import ruling_program
+from repro.core.engine_ops import sampling_rate
 from repro.core.program import ProgramContext
 from repro.core.verify import check_ruling_set, verify_ruling_set
 from repro.errors import AlgorithmError
@@ -34,14 +35,14 @@ def run_det_ruling(graph, beta=2, regime="sublinear"):
 
 class TestSamplingRate:
     def test_small_degree_uses_half(self):
-        assert _sampling_rate(10) == (1, 2)
+        assert sampling_rate(10) == (1, 2)
 
     def test_large_degree_scales(self):
-        num, den = _sampling_rate(400)
+        num, den = sampling_rate(400)
         assert (num, den) == (4, 20)
 
     def test_zero_degree(self):
-        assert _sampling_rate(0) == (1, 2)
+        assert sampling_rate(0) == (1, 2)
 
 
 class TestDetRuling:

@@ -56,6 +56,14 @@ class TestStreamEdgeList:
         with pytest.raises(GraphError, match="exceed declared"):
             list(stream_edge_list(path))
 
+    @pytest.mark.parametrize("header", ["5 -1000", "-3 0", "-1 -1"])
+    def test_negative_header_count_rejected(self, tmp_path, header):
+        path = _write(tmp_path, header + "\n")
+        with pytest.raises(GraphError, match="non-negative"):
+            next(stream_edge_list(path))
+        with pytest.raises(GraphError, match="non-negative"):
+            scan_edge_list_stats(path)
+
 
 class TestScanStats:
     def test_counts_match_graph(self, tmp_path, small_er):

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MPCConfigError
-from repro.graph.generators import star_graph
-from repro.graph.partition import plan_from_owner_map
+from repro.graph.generators import gnp_random_graph, star_graph
 from repro.mpc.ownermap import (
     HashOwnerMap,
     ModOwnerMap,
@@ -109,19 +108,82 @@ class TestBalanceOnSkewedDegrees:
         graph = star_graph(101)
         k = 5
         owner_map = balanced_range_map(graph, k)
-        plan = plan_from_owner_map(owner_map)
-        loads = plan.machine_loads(graph)
+        loads = [
+            sum(graph.degree(v) for v in owner_map.owned_by(m))
+            for m in range(k)
+        ]
         total = 2 * graph.num_edges + graph.num_vertices
         bound = total // k + graph.max_degree() + 1
         assert max(loads) <= bound
 
     def test_plan_matches_owner_map(self):
+        # The explicit per-machine plan (owned_by) and the computable
+        # owner_of agree, and the plan covers every vertex once.
         graph = star_graph(40)
         owner_map = balanced_range_map(graph, 4)
-        plan = plan_from_owner_map(owner_map)
-        assert plan.num_machines == owner_map.num_machines
-        for v in graph.vertices():
-            assert plan.owner[v] == owner_map.owner_of(v)
+        assert owner_map.num_machines == 4
+        owned = []
+        for m in range(owner_map.num_machines):
+            for v in owner_map.owned_by(m):
+                assert owner_map.owner_of(v) == m
+                owned.append(v)
+        assert owned == list(graph.vertices())
+
+    @given(st.integers(1, 8), st.integers(5, 60))
+    def test_balance_bound(self, k, n):
+        g = gnp_random_graph(n, 1, 4, seed=n)
+        owner_map = balanced_range_map(g, k)
+        total = 2 * g.num_edges + n
+        loads = [
+            sum(g.degree(v) + 1 for v in owner_map.owned_by(m))
+            for m in range(k)
+        ]
+        assert sum(loads) == total
+        assert max(loads) <= total // k + g.max_degree() + 2
+
+
+class TestOwnerMaps:
+    def test_range_owned_by(self):
+        owner_map = RangeOwnerMap((0, 2, 5))
+        assert list(owner_map.owned_by(0)) == [0, 1]
+        assert list(owner_map.owned_by(1)) == [2, 3, 4]
+
+    def test_range_validation(self):
+        with pytest.raises(MPCConfigError):
+            RangeOwnerMap((1, 2))
+        with pytest.raises(MPCConfigError):
+            RangeOwnerMap((0, 3, 2))
+
+    def test_mod_map(self):
+        owner_map = ModOwnerMap(num_vertices=7, num_machines=3)
+        assert owner_map.owner_of(5) == 2
+        assert list(owner_map.owned_by(1)) == [1, 4]
+
+    def test_hash_map_in_range(self):
+        owner_map = HashOwnerMap(num_vertices=50, num_machines=7, seed=3)
+        for v in range(50):
+            assert 0 <= owner_map.owner_of(v) < 7
+
+    def test_hash_map_partition(self):
+        owner_map = HashOwnerMap(num_vertices=30, num_machines=4, seed=1)
+        owned = sorted(v for m in range(4) for v in owner_map.owned_by(m))
+        assert owned == list(range(30))
+
+    @pytest.mark.parametrize("factory", [
+        lambda: RangeOwnerMap((0, 3, 8)),
+        lambda: ModOwnerMap(num_vertices=8, num_machines=3),
+        lambda: HashOwnerMap(num_vertices=8, num_machines=3, seed=5),
+    ])
+    def test_serialize_roundtrip(self, factory):
+        owner_map = factory()
+        restored = deserialize_owner_map(owner_map.serialize())
+        for v in range(8):
+            assert restored.owner_of(v) == owner_map.owner_of(v)
+
+    def test_out_of_range_rejected(self):
+        owner_map = ModOwnerMap(num_vertices=4, num_machines=2)
+        with pytest.raises(MPCConfigError):
+            owner_map.owner_of(4)
 
 
 class TestEdgeIds:

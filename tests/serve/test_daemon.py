@@ -501,6 +501,36 @@ class TestEstimates:
             == 0
         )
 
+    def test_edge_list_estimate_skips_comments(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# made by hand\n\n10 4\n", encoding="ascii")
+        data = {"id": "x", "graph": {"input": str(path)}}
+        assert estimate_request_words(data) == MPCConfig.input_words(10, 4)
+
+    def test_negative_header_is_unpriceable_not_a_credit(self, tmp_path):
+        # A header "5 -1000" used to price at -1995 words: admitting it
+        # lowered the inflight total, so a request over the cap got in.
+        path = tmp_path / "hostile.txt"
+        path.write_text("5 -1000\n", encoding="ascii")
+        hostile = {"id": "h", "graph": {"input": str(path)}}
+        assert estimate_request_words(hostile) == 0
+        big = _request("big", n=300, param=4)
+        assert estimate_request_words(big) > 1000
+        daemon = ServeDaemon(
+            _engine(),
+            policy=AdmissionPolicy(max_queue=4, max_inflight_words=1000),
+        )
+
+        async def scenario():
+            refusal, _ = daemon.admit(hostile)
+            assert refusal is None
+            assert daemon._inflight_words == 0
+            return daemon.admit(big)[0]
+
+        record = asyncio.run(scenario())
+        assert record["status"] == "refused"
+        assert "max_inflight_words" in record["error"]
+
 
 class TestUnpriceableAdmission:
     """Satellite regression: unpriceable requests must not bypass the
